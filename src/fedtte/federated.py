@@ -17,6 +17,12 @@ Client selection draws a per-round key from the supplied generator and ranks
 clients by a keyed hash, so the chosen subset is uniform, deterministic under
 the seed, and insensitive to pool order or to the presence of non-selected
 clients.
+
+After training, every client fine-tunes its personal residual model against
+its frozen localized global model with plain per-pair SGD. All clients are
+stepped in lockstep on stacked (C, ...) tensors, but each client's arithmetic
+is its own, so its personal model is the same whichever other clients are
+present.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .model import (
     TrafficState,
     base_loss,
     init_base_params,
+    personal_inputs,
     personal_loss,
     predict_route,
     traffic_state,
@@ -285,6 +292,16 @@ def _step_ok(loss: float, grads: nn.GradSet, lr: float) -> bool:
     return True
 
 
+def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float) -> np.ndarray:
+    """_step_ok per client, for (C,) losses and gradients stacked on a leading
+    client axis. Local training keeps _step_ok, whose return at the first
+    failing tensor makes rejected steps cheap."""
+    ok = np.isfinite(losses)
+    for g in grads.values():
+        ok &= lr * np.abs(g).reshape(len(ok), -1).max(axis=1) <= _MAX_STEP
+    return ok
+
+
 def client_update(
     client: ClientState,
     global_params: BaseModelParams,
@@ -408,36 +425,53 @@ def run_round(
     return record, server.global_params, state
 
 
-def fine_tune_personal(client: ClientState, config: FederatedConfig, holidays: frozenset = frozenset()) -> PersonalModelParams:
-    """Personal-model SGD on residuals against the frozen localized global.
+def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holidays: frozenset = frozenset()) -> None:
+    """Personal-model SGD on residuals against each client's frozen localized global.
 
-    The localized global model's bytes are digest-guarded: fine-tuning must
-    not alter them.
+    Each client runs plain per-pair SGD: personal_epochs passes over its
+    (y, y_hat) pairs in chronological order, skipping steps _step_ok rejects.
+    Step j of an epoch takes pair j of every client that has one, on stacked
+    (C, ...) tensors; no client's result depends on the others. Each localized
+    global model's bytes are digest-guarded: fine-tuning must not alter them.
     """
-    if client.localized_global is None:
-        raise ValueError("client has no localized global model to freeze")
-    if client.personal is None:
-        raise ValueError("client personal model is not initialized")
-    if client.profile is None:
-        raise ValueError("client profile has not been extracted")
-    guard = nn.params_digest(client.localized_global.values)
-    n_slots = client.localized_global.cfg.time_slots
-    states: dict[TimeContext, TrafficState] = {}
-    pairs: list[tuple[float, float]] = []
-    for traj in sorted(client.trajectories, key=lambda t: (t.departure, t.y)):
-        ctx = TimeContext.from_datetime(traj.departure, n_slots, holidays)
-        if ctx not in states:
-            states[ctx] = traffic_state(client.network, client.localized_global, ctx)
-        pairs.append((traj.y, predict_route(states[ctx], traj.route)))
-    values = client.personal.values
+    for client in pool:
+        if client.localized_global is None:
+            raise ValueError(f"client {client.client_id} has no localized global model to freeze")
+        if client.personal is None:
+            raise ValueError(f"client {client.client_id} personal model is not initialized")
+        if client.profile is None:
+            raise ValueError(f"client {client.client_id} profile has not been extracted")
+        nn.assert_congruent(pool[0].personal.values, client.personal.values)
+    if not pool:
+        return
+    guards = [nn.params_digest(client.localized_global.values) for client in pool]
+    counts = np.array([client.sample_count for client in pool])
+    batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
+    for c, client in enumerate(pool):
+        n_slots = client.localized_global.cfg.time_slots
+        states: dict[TimeContext, TrafficState] = {}
+        for k, traj in enumerate(sorted(client.trajectories, key=lambda t: (t.departure, t.y))):
+            ctx = TimeContext.from_datetime(traj.departure, n_slots, holidays)
+            if ctx not in states:
+                states[ctx] = traffic_state(client.network, client.localized_global, ctx)
+            batch[c, k] = traj.y, predict_route(states[ctx], traj.route)
+    has_pair = np.arange(batch.shape[1]) < counts[:, None]
+    inputs = personal_inputs([c.profile for c in pool], [c.personal for c in pool])
+    values = {k: np.stack([c.personal.values[k] for c in pool]) for k in pool[0].personal.values}
+    lr = config.personal_lr
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.personal_epochs):
-            for pair in pairs:
-                loss, grads = personal_loss(client.profile, client.personal, [pair])
-                if not _step_ok(loss, grads, config.personal_lr):
-                    continue
-                values = nn.sgd_step(values, grads, config.personal_lr)
-                client.personal.values = values
-    if nn.params_digest(client.localized_global.values) != guard:
-        raise RuntimeError("fine-tuning altered the frozen localized global model")
-    return client.personal
+            for j in range(batch.shape[1]):
+                losses, grads = personal_loss(inputs, values, batch[:, j : j + 1])
+                take = has_pair[:, j] & _steps_ok(losses, grads, lr)
+                # p - lr * g on the clients that take the step, whole tensors:
+                # off the rows a profile looked up an embedding gradient is
+                # +0.0, and p - lr * 0.0 == p for the finite lr a step implies.
+                # lr * g overwrites g, which is not read again.
+                for name, p in values.items():
+                    step = np.multiply(grads[name], lr, out=grads[name])
+                    np.subtract(p, step, out=p, where=take.reshape(-1, *(1,) * (p.ndim - 1)))
+    for c, client in enumerate(pool):
+        client.personal.values = {k: v[c] for k, v in values.items()}
+        if nn.params_digest(client.localized_global.values) != guards[c]:
+            raise RuntimeError(f"fine-tuning altered client {client.client_id}'s frozen localized global model")

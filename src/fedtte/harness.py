@@ -310,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             dense_mean=dense_mean,
             dense_std=dense_std,
         )
-        fed.fine_tune_personal(client, cfg.federated, cfg.holidays)
+    fed.fine_tune_personal(pool, cfg.federated, cfg.holidays)
 
     eval_records: list[TrajectoryRecord] = []
     for day in range(cfg.days, cfg.days + cfg.eval_days):

@@ -23,7 +23,9 @@ kept as stated for shape fidelity.
 
 The personal model maps a driver profile (embedded sparse features plus
 linearly transformed standardized dense features) through one linear head to
-a scalar bias in seconds; the final prediction is ``y_hat + bias``.
+a scalar bias in seconds; the final prediction is ``y_hat + bias``. Its loss
+is evaluated for C clients at once, on their tensors stacked along a leading
+client axis; each client's slice is computed exactly as it would be alone.
 
 All backward passes are hand-written and certified by nn.check_gradients.
 """
@@ -470,20 +472,50 @@ def init_personal_params(
     )
 
 
-def _personal_forward(profile: DriverProfile, params: PersonalModelParams):
-    v = params.values
-    x_dense = (profile.dense_features() - params.dense_mean) / params.dense_std
-    hidden = x_dense @ v["p.dense.w"] + v["p.dense.b"]
-    regions = nn.embedding_lookup(v["p.region"], profile.top_regions)
-    edges = nn.embedding_lookup(v["p.edge"], profile.top_edges)
-    x_u = np.concatenate([regions.ravel(), edges.ravel(), hidden])
-    bias = float(x_u @ v["p.head.w"][:, 0]) + float(v["p.head.b"][0])
-    return bias, {"x_dense": x_dense, "x_u": x_u, "regions": regions.shape, "edges": edges.shape}
+@dataclass(frozen=True)
+class PersonalInputs:
+    """C clients' fixed personal-model inputs: profile ids as rows of the
+    client-stacked table viewed as (C * rows, dim), client c's id i being row
+    c * rows + i, and dense features standardized by each client's model."""
+
+    region_rows: np.ndarray
+    edge_rows: np.ndarray
+    x_dense: np.ndarray
+
+
+def personal_inputs(profiles: list[DriverProfile], params: list[PersonalModelParams]) -> PersonalInputs:
+    """Stack the inputs of client c = (profiles[c], params[c]) for personal_loss."""
+    if not profiles or len(profiles) != len(params):
+        raise ValueError(f"need one personal model per profile, got {len(params)} for {len(profiles)}")
+    rows = {}
+    for table, attr in (("p.region", "top_regions"), ("p.edge", "top_edges")):
+        n_rows = params[0].values[table].shape[0]
+        ids = np.array([getattr(profile, attr) for profile in profiles], dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+            raise IndexError(f"{table} id out of range [0, {n_rows})")
+        rows[table] = ids + n_rows * np.arange(len(profiles))[:, None]
+    x_dense = np.stack([(profile.dense_features() - m.dense_mean) / m.dense_std for profile, m in zip(profiles, params)])
+    return PersonalInputs(region_rows=rows["p.region"], edge_rows=rows["p.edge"], x_dense=x_dense)
+
+
+def _personal_forward(inputs: PersonalInputs, values: nn.ParamSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client biases (C,) and head inputs x_u (C, x_dim) for (C, ...) tensors."""
+    n = len(inputs.x_dense)
+    # np.matmul on (C, 1, k) @ (C, k, m) runs one BLAS call per client, the same
+    # call as a single client's (k,) @ (k, m); einsum would sum in another order.
+    hidden = np.matmul(inputs.x_dense[:, None, :], values["p.dense.w"])[:, 0] + values["p.dense.b"]
+    dim = values["p.region"].shape[-1]
+    regions = values["p.region"].reshape(-1, dim)[inputs.region_rows]
+    edges = values["p.edge"].reshape(-1, dim)[inputs.edge_rows]
+    x_u = np.concatenate([regions.reshape(n, -1), edges.reshape(n, -1), hidden], axis=1)
+    bias = np.matmul(x_u[:, None, :], values["p.head.w"])[:, 0, 0] + values["p.head.b"][:, 0]
+    return bias, x_u
 
 
 def personal_bias(profile: DriverProfile, params: PersonalModelParams) -> float:
     """Scalar travel-time bias in seconds for this driver."""
-    return _personal_forward(profile, params)[0]
+    stacked = {k: v[None] for k, v in params.values.items()}
+    return float(_personal_forward(personal_inputs([profile], [params]), stacked)[0][0])
 
 
 def predict_final(y_hat: float, bias: float) -> float:
@@ -491,36 +523,41 @@ def predict_final(y_hat: float, bias: float) -> float:
     return y_hat + bias
 
 
-def personal_loss(
-    profile: DriverProfile,
-    params: PersonalModelParams,
-    batch: list[tuple[float, float]],
-) -> tuple[float, nn.GradSet]:
-    """Sum over (y, y_hat) pairs of (y - y_hat - bias)^2 with gradients that
-    touch only the personal tensors; y_hat values are frozen inputs."""
-    if not batch:
+def personal_loss(inputs: PersonalInputs, values: nn.ParamSet, batch) -> tuple[np.ndarray, nn.GradSet]:
+    """Per-client personal losses (C,) and gradients, stacked on a leading client axis.
+
+    values holds C clients' personal tensors as (C, ...) arrays and batch their
+    (y, y_hat) pairs as a (C, B, 2) array. Client c's loss is the sum over its
+    B pairs of (y - y_hat - bias_c)^2; its gradients touch only its own slice
+    of the personal tensors, and y_hat values are frozen inputs. A single
+    client is the case C = 1.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 3 or batch.shape[1] == 0:
         raise ValueError("empty batch")
-    v = params.values
-    bias, cache = _personal_forward(profile, params)
-    grads = nn.zeros_like_params(v)
-    loss = 0.0
-    d_bias = 0.0
-    for y, y_hat in batch:
-        r = y - y_hat - bias
+    bias, x_u = _personal_forward(inputs, values)
+    loss = np.zeros(len(bias))
+    d_bias = np.zeros(len(bias))
+    for j in range(batch.shape[1]):
+        r = batch[:, j, 0] - batch[:, j, 1] - bias
         loss += r * r
         d_bias += -2.0 * r
-    x_u = cache["x_u"]
-    grads["p.head.w"] += d_bias * x_u[:, None]
-    grads["p.head.b"] += np.array([d_bias])
-    d_xu = d_bias * v["p.head.w"][:, 0]
-    pd = params.cfg.personal_embed_dim
-    arity = params.cfg.profile_arity
-    region_block = arity * pd
-    d_regions = d_xu[:region_block].reshape(arity, pd)
-    d_edges = d_xu[region_block : 2 * region_block].reshape(arity, pd)
-    d_hidden = d_xu[2 * region_block :]
-    grads["p.region"] += nn.embedding_scatter(v["p.region"].shape, profile.top_regions, d_regions)
-    grads["p.edge"] += nn.embedding_scatter(v["p.edge"].shape, profile.top_edges, d_edges)
-    grads["p.dense.w"] += np.outer(cache["x_dense"], d_hidden)
-    grads["p.dense.b"] += d_hidden
+    d_xu = d_bias[:, None] * values["p.head.w"][:, :, 0]
+    block = inputs.region_rows.shape[1] * values["p.region"].shape[-1]
+    d_hidden = d_xu[:, 2 * block :]
+    # "0.0 +" makes every zero gradient +0.0, so that p - lr * g leaves a -0.0
+    # parameter at -0.0 (p - lr * -0.0 would turn it into +0.0).
+    grads = {
+        "p.head.w": 0.0 + d_bias[:, None, None] * x_u[:, :, None],
+        "p.head.b": 0.0 + d_bias[:, None],
+        "p.dense.w": 0.0 + inputs.x_dense[:, :, None] * d_hidden[:, None, :],
+        "p.dense.b": 0.0 + d_hidden,
+    }
+    for table, rows, d_rows in (
+        ("p.region", inputs.region_rows, d_xu[:, :block]),
+        ("p.edge", inputs.edge_rows, d_xu[:, block : 2 * block]),
+    ):
+        shape = values[table].shape
+        flat = nn.embedding_scatter((shape[0] * shape[1], shape[2]), rows.ravel(), d_rows.reshape(-1, shape[2]))
+        grads[table] = flat.reshape(shape)
     return loss, grads

@@ -15,6 +15,7 @@ congruently with the ParamSet it differentiates.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from typing import Callable, Iterable
 
@@ -126,26 +127,34 @@ def serialize_params(params: ParamSet) -> bytes:
 
 
 def deserialize_params(buf: bytes) -> ParamSet:
+    """Inverse of serialize_params. A malformed or truncated blob raises
+    ValueError naming the offset where it stops making sense."""
+    pos = 0
+
+    def take(size: int) -> int:
+        """Claim the next `size` bytes and return their offset."""
+        nonlocal pos
+        if size > len(buf) - pos:
+            raise ValueError(f"truncated parameter blob: {len(buf)} bytes, needs {size} more at offset {pos}")
+        pos += size
+        return pos - size
+
     if buf[:4] != _MAGIC:
         raise ValueError("bad magic in parameter blob")
-    (version,) = struct.unpack_from("<I", buf, 4)
+    take(4)
+    (version,) = struct.unpack_from("<I", buf, take(4))
     if version != _VERSION:
         raise ValueError(f"unsupported parameter format version {version}")
-    (count,) = struct.unpack_from("<I", buf, 8)
-    pos = 12
+    (count,) = struct.unpack_from("<I", buf, take(4))
     out: ParamSet = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        name = buf[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", buf, pos) if rank else ()
-        pos += 4 * rank
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(shape)
-        pos += 8 * n
+        (name_len,) = struct.unpack_from("<I", buf, take(4))
+        start = take(name_len)
+        name = buf[start : start + name_len].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", buf, take(4))
+        shape = struct.unpack_from(f"<{rank}I", buf, take(4 * rank)) if rank else ()
+        n = math.prod(shape)
+        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=take(8 * n)).reshape(shape)
         out[name] = arr.astype(np.float64).copy()
     if pos != len(buf):
         raise ValueError("trailing bytes in parameter blob")

@@ -95,11 +95,11 @@ def test_c01_gradient_integrity(tiny_world, tiny_cfg):
             for _ in range(3)
         ]
 
+        inputs = model.personal_inputs([profile], [pers])
+
         def personal_fn(values, _):
-            probe = model.PersonalModelParams(
-                cfg=pers.cfg, values=values, dense_mean=pers.dense_mean, dense_std=pers.dense_std
-            )
-            return model.personal_loss(profile, probe, pbatch)
+            losses, grads = model.personal_loss(inputs, {k: v[None] for k, v in values.items()}, [pbatch])
+            return float(losses[0]), {k: g[0] for k, g in grads.items()}
 
         worst_personal = max(worst_personal, nn.check_gradients(personal_fn, pers.values, None, eps=1e-5))
     ok = worst_base < 1e-4 and worst_personal < 1e-4

@@ -4,9 +4,10 @@ import csv
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
-from fedtte import cli
+from fedtte import cli, nn
 
 CONFIG_TEXT = """
 [world]
@@ -112,6 +113,15 @@ def test_export_state_from_checkpoint(tmp_path, config_file):
         rows = list(csv.DictReader(fh))
     assert rows
     assert set(rows[0]) == {"slot", "entity_kind", "entity_id", "travel_time_s", "bucket"}
+
+
+@pytest.mark.parametrize("size", [10, 30])
+def test_export_state_truncated_checkpoint_exits_1(tmp_path, config_file, capsys, size):
+    path = tmp_path / "cut.bin"
+    path.write_bytes(nn.serialize_params({"w": np.zeros((4, 4)), "b": np.zeros(4)})[:size])
+    assert cli.main(["export-state", "--config", str(config_file), "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncated" in err
 
 
 def test_metrics_on_perfect_dump_reports_zeros(tmp_path, capsys):

@@ -419,7 +419,7 @@ def test_fine_tune_zero_residuals_leaves_parameters(tiny_cfg):
     client = _prepared_client(world, tiny_cfg, residual=0.0)
     cfg = FederatedConfig(personal_epochs=50, personal_lr=1e-3)
     before = nn.clone_params(client.personal.values)
-    fine_tune_personal(client, cfg)
+    fine_tune_personal([client], cfg)
     for name in before:
         assert np.array_equal(client.personal.values[name], before[name]), name
 
@@ -430,7 +430,7 @@ def test_fine_tune_constant_residual_learns_bias(tiny_cfg):
     world = _one_client_world()
     client = _prepared_client(world, tiny_cfg, residual=10.0)
     cfg = FederatedConfig(personal_epochs=2000, personal_lr=3e-4)
-    fine_tune_personal(client, cfg)
+    fine_tune_personal([client], cfg)
     assert client.personal.values["p.head.b"][0] == pytest.approx(10.0, abs=0.1)
     assert model.personal_bias(client.profile, client.personal) == pytest.approx(10.0, abs=0.1)
 
@@ -440,7 +440,7 @@ def test_fine_tune_never_touches_localized_global(tiny_cfg):
     client = _prepared_client(world, tiny_cfg, residual=5.0)
     cfg = FederatedConfig(personal_epochs=20, personal_lr=1e-4)
     digest = nn.params_digest(client.localized_global.values)
-    fine_tune_personal(client, cfg)
+    fine_tune_personal([client], cfg)
     assert nn.params_digest(client.localized_global.values) == digest
 
 
@@ -448,4 +448,108 @@ def test_fine_tune_requires_localized_global(tiny_cfg):
     world = _one_client_world()
     client = build_clients(world)[0]
     with pytest.raises(ValueError):
-        fine_tune_personal(client, FederatedConfig())
+        fine_tune_personal([client], FederatedConfig())
+
+
+def _pool_with_personal_models(world, tiny_cfg, counts):
+    """Every client of the world with a localized global, profile and random
+    personal model; client i keeps its first counts[i] trajectories, each
+    relabelled as its localized prediction plus a residual of a few seconds."""
+    pool = build_clients(world)
+    profiles = [data.extract_profile(c.trajectories, world.grid, world.network, tiny_cfg.profile_arity) for c in pool]
+    mean, std = model.fit_dense_stats(profiles)
+    for i, (client, profile) in enumerate(zip(pool, profiles)):
+        client.localized_global = model.init_base_params(world.network, tiny_cfg, seed=10 + i)
+        client.profile = profile
+        client.personal = model.init_personal_params(
+            world.grid.n_cells, world.network.n_edges, tiny_cfg, seed=20 + i, dense_mean=mean, dense_std=std
+        )
+        shifted = []
+        for k, t in enumerate(client.trajectories[: counts[i]]):
+            ctx = model.TimeContext.from_datetime(t.departure, tiny_cfg.time_slots)
+            state = model.traffic_state(world.network, client.localized_global, ctx)
+            shifted.append(replace(t, y=model.predict_route(state, t.route) + 3.0 * (k % 3) + i))
+        client.trajectories = shifted
+    return pool
+
+
+def _reference_fine_tune(client, cfg):
+    """One client's personal SGD written out per pair: one pair per step,
+    _step_ok, then p - lr * g. Returns the tensors and the skipped steps."""
+    states, pairs = {}, []
+    for traj in sorted(client.trajectories, key=lambda t: (t.departure, t.y)):
+        ctx = model.TimeContext.from_datetime(traj.departure, client.localized_global.cfg.time_slots)
+        if ctx not in states:
+            states[ctx] = model.traffic_state(client.network, client.localized_global, ctx)
+        pairs.append((traj.y, model.predict_route(states[ctx], traj.route)))
+    prof, v = client.profile, nn.clone_params(client.personal.values)
+    regions, edges = list(prof.top_regions), list(prof.top_edges)
+    dim = v["p.region"].shape[1]
+    block = len(regions) * dim
+    x_dense = (prof.dense_features() - client.personal.dense_mean) / client.personal.dense_std
+    skipped = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.personal_epochs):
+            for y, y_hat in pairs:
+                hidden = x_dense @ v["p.dense.w"] + v["p.dense.b"]
+                x_u = np.concatenate([v["p.region"][regions].ravel(), v["p.edge"][edges].ravel(), hidden])
+                r = y - y_hat - (float(x_u @ v["p.head.w"][:, 0]) + float(v["p.head.b"][0]))
+                d_bias = 0.0 + -2.0 * r
+                d_xu = d_bias * v["p.head.w"][:, 0]
+                g = nn.zeros_like_params(v)
+                g["p.head.w"] += d_bias * x_u[:, None]
+                g["p.head.b"] += d_bias
+                np.add.at(g["p.region"], regions, d_xu[:block].reshape(-1, dim))
+                np.add.at(g["p.edge"], edges, d_xu[block : 2 * block].reshape(-1, dim))
+                g["p.dense.w"] += np.outer(x_dense, d_xu[2 * block :])
+                g["p.dense.b"] += d_xu[2 * block :]
+                if federated._step_ok(0.0 + r * r, g, cfg.personal_lr):
+                    v = {k: v[k] - cfg.personal_lr * g[k] for k in v}
+                else:
+                    skipped += 1
+    return v, skipped
+
+
+def _assert_same_bytes(a, b):
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes(), name
+
+
+def test_fine_tune_pool_matches_per_client_reference(tiny_world, tiny_cfg):
+    counts = [6, 3, 1]
+    cfg = FederatedConfig(personal_epochs=30, personal_lr=1e-3)
+    pool = _pool_with_personal_models(tiny_world, tiny_cfg, counts)
+    assert [len(c.trajectories) for c in pool] == counts
+    # one pair of the second client is off by 1e5 s: its step is divergent
+    # and skipped every epoch, while that client's other steps are taken
+    first = min(pool[1].trajectories, key=lambda t: (t.departure, t.y))
+    pool[1].trajectories[pool[1].trajectories.index(first)] = replace(first, y=first.y + 1e5)
+    # signed zeros: a looked-up region row of -0.0 feeds -0.0 inputs to head
+    # weights of -0.0, which stay -0.0 only if their gradient is +0.0
+    for client in pool:
+        values, dim = client.personal.values, tiny_cfg.personal_embed_dim
+        values["p.region"][client.profile.top_regions[0]] = -0.0
+        values["p.head.w"][:dim] = -0.0
+    initial = [nn.clone_params(c.personal.values) for c in pool]
+    expected = [_reference_fine_tune(c, cfg) for c in pool]
+    assert [skipped for _, skipped in expected] == [0, cfg.personal_epochs, 0]
+    fine_tune_personal(pool, cfg)
+    for client, (values, _), before in zip(pool, expected, initial):
+        _assert_same_bytes(client.personal.values, values)
+        assert not np.array_equal(values["p.head.b"], before["p.head.b"])
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1], [2, 0]])
+def test_fine_tune_client_independent_of_pool(tiny_world, tiny_cfg, order):
+    cfg = FederatedConfig(personal_epochs=20, personal_lr=1e-3)
+    alone = {}
+    for i in range(3):
+        pool = _pool_with_personal_models(tiny_world, tiny_cfg, [6, 4, 2])
+        fine_tune_personal([pool[i]], cfg)
+        alone[pool[i].client_id] = pool[i].personal.values
+    pool = _pool_with_personal_models(tiny_world, tiny_cfg, [6, 4, 2])
+    subset = [pool[i] for i in order]
+    fine_tune_personal(subset, cfg)
+    for client in subset:
+        _assert_same_bytes(client.personal.values, alone[client.client_id])

@@ -327,6 +327,13 @@ def _profile(regions=(0, 1, 2), edges=(0, 1, 2)):
     )
 
 
+def _personal_loss_one(profile, params, batch):
+    """personal_loss for one client: the C = 1 stack, unstacked again."""
+    stacked = {k: v[None] for k, v in params.values.items()}
+    losses, grads = model.personal_loss(model.personal_inputs([profile], [params]), stacked, [batch])
+    return float(losses[0]), {k: g[0] for k, g in grads.items()}
+
+
 def test_personal_bias_all_zero_params(tiny_cfg):
     params = model.init_personal_params(4, 8, tiny_cfg, seed=0)
     for name in params.values:
@@ -357,7 +364,7 @@ def test_personal_loss_optimal_constant_bias(tiny_cfg):
 
     def loss_at(b):
         params.values["p.head.b"] = np.array([b])
-        return model.personal_loss(_profile(), params, batch)[0]
+        return _personal_loss_one(_profile(), params, batch)[0]
 
     assert loss_at(12.0) == 0.0
     assert loss_at(11.0) > 0.0
@@ -369,13 +376,13 @@ def test_personal_loss_zeroed_model_is_residual_ss(tiny_cfg):
     for name in params.values:
         params.values[name] = np.zeros_like(params.values[name])
     batch = [(103.0, 100.0), (99.0, 100.0)]
-    loss, _ = model.personal_loss(_profile(), params, batch)
+    loss, _ = _personal_loss_one(_profile(), params, batch)
     assert loss == pytest.approx(9.0 + 1.0, abs=1e-12)
 
 
 def test_personal_loss_gradients_touch_only_personal_tensors(tiny_cfg):
     params = model.init_personal_params(4, 8, tiny_cfg, seed=1)
-    _, grads = model.personal_loss(_profile(), params, [(110.0, 100.0)])
+    _, grads = _personal_loss_one(_profile(), params, [(110.0, 100.0)])
     assert sorted(grads) == sorted(params.values)
     assert all(name.startswith("p.") for name in grads)
 
@@ -389,10 +396,43 @@ def test_personal_loss_finite_difference(tiny_cfg):
         probe = model.PersonalModelParams(
             cfg=params.cfg, values=values, dense_mean=params.dense_mean, dense_std=params.dense_std
         )
-        return model.personal_loss(profile, probe, batch)
+        return _personal_loss_one(profile, probe, batch)
 
     err = nn.check_gradients(fn, params.values, None, eps=1e-5)
     assert err < 1e-5
+
+
+def test_personal_loss_stacked_finite_difference(tiny_cfg):
+    # three clients with their own models and profiles, padding ids (4 for
+    # regions, 8 for edges) repeated within a profile; the summed loss has
+    # exactly the per-client gradients only if no client's loss reaches
+    # another client's slice
+    params = [model.init_personal_params(4, 8, tiny_cfg, seed=s) for s in range(3)]
+    profiles = [_profile((0, 4, 4), (8, 8, 1)), _profile((1, 2, 3), (0, 8, 8)), _profile((4, 4, 4), (8, 8, 8))]
+    inputs = model.personal_inputs(profiles, params)
+    values = {k: np.stack([p.values[k] for p in params]) for k in params[0].values}
+    batch = [[(110.0, 100.0), (95.0, 100.0)], [(80.0, 60.0), (61.0, 60.0)], [(200.0, 150.0), (140.0, 150.0)]]
+
+    def fn(vals, _):
+        losses, grads = model.personal_loss(inputs, vals, batch)
+        return float(losses.sum()), grads
+
+    assert nn.check_gradients(fn, values, None, eps=1e-5) < 1e-5
+    # each client's slice is byte for byte its own C = 1 result
+    losses, grads = model.personal_loss(inputs, values, batch)
+    for c in range(3):
+        loss_c, grads_c = _personal_loss_one(profiles[c], params[c], batch[c])
+        assert losses[c] == loss_c
+        for name in grads_c:
+            assert grads[name][c].tobytes() == grads_c[name].tobytes(), name
+
+
+def test_personal_inputs_reject_out_of_range_ids(tiny_cfg):
+    params = model.init_personal_params(4, 8, tiny_cfg, seed=0)
+    with pytest.raises(IndexError):
+        model.personal_inputs([_profile(regions=(0, 1, 5))], [params])
+    with pytest.raises(IndexError):
+        model.personal_inputs([_profile(edges=(-1, 1, 2))], [params])
 
 
 def test_personal_sgd_recovers_least_squares_slope(tiny_cfg):
@@ -417,7 +457,7 @@ def test_personal_sgd_recovers_least_squares_slope(tiny_cfg):
         for prof in profiles:
             x = (prof.break_start_h - mean[0]) / std[0]
             batch = [(100.0 + slope * x, 100.0)]
-            _, grads = model.personal_loss(prof, params, batch)
+            _, grads = _personal_loss_one(prof, params, batch)
             params.values = nn.sgd_step(params.values, grads, lr=1e-3)
     for prof in profiles:
         x = (prof.break_start_h - mean[0]) / std[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import nn
+from fedtte import model, nn
 
 
 # ---------------------------------------------------------------- linear
@@ -211,6 +211,14 @@ def test_serialize_round_trip(tmp_path):
     nn.save_params(params, path)
     again = nn.load_params(path)
     assert nn.serialize_params(again) == blob
+
+
+def test_deserialize_rejects_every_truncation(tiny_world, tiny_cfg):
+    blob = nn.serialize_params(model.init_base_params(tiny_world.network, tiny_cfg, seed=0).values)
+    for size in range(len(blob)):
+        with pytest.raises(ValueError):
+            nn.deserialize_params(blob[:size])
+    assert nn.serialize_params(nn.deserialize_params(blob)) == blob
 
 
 def test_digest_tracks_content():

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import math
 import sys
 from dataclasses import replace
 from datetime import datetime, time, timedelta
@@ -24,10 +23,6 @@ from . import harness, nn, privacy
 from .data import EPOCH_DATE, generate_world
 from .harness import PREDICTION_FIELDS, ExperimentConfig, load_config
 from .model import TimeContext, init_base_params, traffic_state
-
-
-def _fmt_eps(eps: float) -> str:
-    return "inf" if math.isinf(eps) else repr(float(eps))
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -97,37 +92,22 @@ def _cmd_attack(args) -> int:
         print(f"attacking uploads trained from checkpoint {source}")
     settings = cfg.attack
     if getattr(args, "epsilon", None) is not None:
-        reports = privacy.risk_eval(
-            world,
-            args.epsilon,
-            fed_config=cfg.federated,
-            model_cfg=cfg.model,
-            rounds=settings.rounds,
-            k=settings.k,
-            seed=cfg.federated.seed,
-            start_values=start,
-        )
-        risks = [r.risk for r in reports]
-        mean = float(sum(risks) / len(risks)) if risks else float("nan")
-        rows = [
-            {"epsilon": _fmt_eps(args.epsilon), "seed": str(cfg.federated.seed), "client_id": r.client_id, "k": str(settings.k), "risk": repr(r.risk)}
-            for r in reports
-        ]
-        rows.append({"epsilon": _fmt_eps(args.epsilon), "seed": "all", "client_id": "all", "k": str(settings.k), "risk": repr(mean)})
-        print(f"epsilon={_fmt_eps(args.epsilon)} mean_risk={mean:.4f} over {len(risks)} attacked uploads")
+        epsilons, seeds = [args.epsilon], [cfg.federated.seed]
     else:
-        means, rows = privacy.risk_sweep(
-            world,
-            settings.epsilons,
-            fed_config=cfg.federated,
-            model_cfg=cfg.model,
-            rounds=settings.rounds,
-            k=settings.k,
-            seeds=range(settings.seeds),
-            start_values=start,
-        )
-        for eps in settings.epsilons:
-            print(f"epsilon={_fmt_eps(eps)} mean_risk={means[eps]:.4f}")
+        epsilons, seeds = settings.epsilons, range(settings.seeds)
+    _, rows = privacy.risk_sweep(
+        world,
+        epsilons,
+        fed_config=cfg.federated,
+        model_cfg=cfg.model,
+        rounds=settings.rounds,
+        k=settings.k,
+        seeds=seeds,
+        start_values=start,
+    )
+    for row in rows:
+        if row["seed"] == "all":
+            print(f"epsilon={row['epsilon']} mean_risk={float(row['risk']):.4f}")
     if cfg.out_dir is not None:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
         dest = Path(cfg.out_dir) / "risk.csv"

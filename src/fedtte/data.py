@@ -17,6 +17,7 @@ path spelled as alternating ``e<id>|v<id>|e<id>`` tokens.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -289,8 +290,8 @@ def load_trajectories(source, network: RoadNetwork) -> list[TrajectoryRecord]:
                 y = float(y_raw)
             except ValueError as exc:
                 raise ValueError(f"trajectories row {lineno}: bad travel time {y_raw!r}") from exc
-            if y <= 0:
-                raise ValueError(f"trajectories row {lineno}: travel time must be > 0")
+            if not (y > 0 and math.isfinite(y)):
+                raise ValueError(f"trajectories row {lineno}: travel time must be finite and > 0")
             steps: list[tuple[str, int]] = []
             for token in path.split("|"):
                 if not token or token[0] not in "ev":

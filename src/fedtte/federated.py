@@ -8,7 +8,10 @@ the privacy config, and uploads it with its in-window sample count n_m. The
 server folds the uploads into F <- sum (n_m / n) f_m in canonical client-id
 order, refreshes the served traffic state at the instant's slot, and records
 the round. Travel-time queries arriving before the next instant are answered
-from that state.
+from that state. train_round is the training half of a round (selection,
+local updates, aggregation) and run_round adds the state and the record;
+the privacy module's attack runs train_round, so it reads the uploads that
+training makes.
 
 The day is partitioned into bands with per-band aggregation intervals; the
 default schedule densifies during the rush bands (16 instants per day).
@@ -36,7 +39,7 @@ import numpy as np
 from . import data as datamod
 from . import nn
 from .data import EPOCH_DATE, TrajectoryRecord, World
-from .graph import RoadNetwork, Route
+from .graph import RoadNetwork
 from .model import (
     BaseModelParams,
     ModelConfig,
@@ -229,12 +232,6 @@ class ServerState:
     round_index: int = 0
     latest_state: TrafficState | None = None
 
-    def serve(self, route: Route) -> float:
-        """Answer a travel-time query from the last aggregated state."""
-        if self.latest_state is None:
-            raise ValueError("no aggregated traffic state available yet")
-        return predict_route(self.latest_state, route, strict=False)
-
 
 def init_server(
     network: RoadNetwork,
@@ -352,6 +349,33 @@ def aggregate(received: list[tuple[int, nn.ParamSet]]) -> nn.ParamSet:
     return out
 
 
+def train_round(
+    server: ServerState,
+    pool: list[ClientState],
+    window: tuple[datetime, datetime],
+    config: FederatedConfig,
+) -> list[tuple[ClientState, int, nn.ParamSet]]:
+    """Select, train and aggregate the clients eligible in the window.
+
+    Returns (client, n_m, upload) per chosen client in client-id order and
+    folds the uploads into server.global_params. No eligible client returns
+    an empty list and leaves the global model untouched. server.round_index
+    advances either way, so selection and noise keys follow the schedule.
+    """
+    eligible = [c for c in pool if c.in_window(*window)]
+    uploads: list[tuple[ClientState, int, nn.ParamSet]] = []
+    if eligible:
+        m = min(config.clients_per_round, len(eligible))
+        chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", server.round_index))
+        by_id = {c.client_id: c for c in eligible}
+        for cid in chosen:
+            upload, n_m = client_update(by_id[cid], server.global_params, config, window, round_index=server.round_index)
+            uploads.append((by_id[cid], n_m, upload))
+        server.global_params = server.global_params.with_values(aggregate([(n_m, upload) for _, n_m, upload in uploads]))
+    server.round_index += 1
+    return uploads
+
+
 def run_round(
     server: ServerState,
     pool: list[ClientState],
@@ -359,70 +383,42 @@ def run_round(
     config: FederatedConfig,
     holidays: frozenset = frozenset(),
 ) -> tuple[RoundRecord, BaseModelParams, TrafficState | None]:
-    """One aggregation round at the given instant.
+    """One aggregation round at the given instant: train_round, then the
+    served-state refresh and the round record.
 
     Zero eligible clients skips the round (recorded, global untouched).
     """
     window = (instant.start, instant.end)
     ctx = TimeContext.from_datetime(instant.end, server.model_cfg.time_slots, holidays)
     band = server.schedule.band_label(instant.hour)
-    eligible = [c for c in pool if c.in_window(*window)]
-    if not eligible:
-        record = RoundRecord(
-            round_index=server.round_index,
-            day=instant.day,
-            time_label=instant.label,
-            band=band,
-            slot=ctx.slot,
-            selected=(),
-            clients=(),
-            n_total=0,
-            aggregate_digest=nn.params_digest(server.global_params.values),
-            timestamp=instant.end.isoformat(),
-            skipped=True,
-            train_mae=None,
-        )
-        server.round_index += 1
-        return record, server.global_params, server.latest_state
-
-    m = min(config.clients_per_round, len(eligible))
-    chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", server.round_index))
-    by_id = {c.client_id: c for c in eligible}
-    received: list[tuple[int, nn.ParamSet]] = []
-    client_rows: list[tuple[str, int, str]] = []
-    for cid in chosen:
-        upload, n_m = client_update(by_id[cid], server.global_params, config, window, round_index=server.round_index)
-        received.append((n_m, upload))
-        client_rows.append((cid, n_m, nn.params_digest(upload)))
-    new_values = aggregate(received)
-    server.global_params = server.global_params.with_values(new_values)
-    state = traffic_state(server.network, server.global_params, ctx)
-    server.latest_state = state
-
+    round_index = server.round_index
+    uploads = train_round(server, pool, window, config)
     errors = []
-    state_cache: dict[TimeContext, TrafficState] = {ctx: state}
-    for cid in chosen:
-        for traj in by_id[cid].in_window(*window):
-            tctx = TimeContext.from_datetime(traj.departure, server.model_cfg.time_slots, holidays)
-            if tctx not in state_cache:
-                state_cache[tctx] = traffic_state(server.network, server.global_params, tctx)
-            errors.append(abs(predict_route(state_cache[tctx], traj.route) - traj.y))
+    if uploads:
+        state = traffic_state(server.network, server.global_params, ctx)
+        server.latest_state = state
+        state_cache: dict[TimeContext, TrafficState] = {ctx: state}
+        for client, _, _ in uploads:
+            for traj in client.in_window(*window):
+                tctx = TimeContext.from_datetime(traj.departure, server.model_cfg.time_slots, holidays)
+                if tctx not in state_cache:
+                    state_cache[tctx] = traffic_state(server.network, server.global_params, tctx)
+                errors.append(abs(predict_route(state_cache[tctx], traj.route) - traj.y))
     record = RoundRecord(
-        round_index=server.round_index,
+        round_index=round_index,
         day=instant.day,
         time_label=instant.label,
         band=band,
         slot=ctx.slot,
-        selected=tuple(chosen),
-        clients=tuple(client_rows),
-        n_total=sum(n for n, _ in received),
-        aggregate_digest=nn.params_digest(new_values),
+        selected=tuple(client.client_id for client, _, _ in uploads),
+        clients=tuple((client.client_id, n_m, nn.params_digest(upload)) for client, n_m, upload in uploads),
+        n_total=sum(n_m for _, n_m, _ in uploads),
+        aggregate_digest=nn.params_digest(server.global_params.values),
         timestamp=instant.end.isoformat(),
-        skipped=False,
+        skipped=not uploads,
         train_mae=float(np.mean(errors)) if errors else None,
     )
-    server.round_index += 1
-    return record, server.global_params, state
+    return record, server.global_params, server.latest_state
 
 
 def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holidays: frozenset = frozenset()) -> None:

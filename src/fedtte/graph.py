@@ -23,6 +23,7 @@ use ids equal to positions, so the two coincide there.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -36,7 +37,15 @@ EDGE_NUMERIC_COLUMNS = ("length_m", "speed_limit_kph", "lanes", "width_m")
 
 
 class NetworkError(ValueError):
-    """Malformed row, dangling reference, or duplicate id (with row number)."""
+    """Malformed row, dangling reference, or duplicate id.
+
+    record is ("nodes" | "edges", position) of the offending record when one
+    is to blame; load_network turns it into a CSV row number.
+    """
+
+    def __init__(self, message: str, record: tuple[str, int] | None = None) -> None:
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -180,26 +189,35 @@ def build_network(
     node_vocabs: tuple[int, ...] | None = None,
     edge_vocabs: tuple[int, ...] | None = None,
 ) -> RoadNetwork:
-    """Validate records and assemble index maps, adjacencies, and Laplacians."""
+    """Validate records and assemble index maps, adjacencies, and Laplacians.
+
+    Every numeric feature must be finite, and edge length and speed limit
+    must be > 0. A NetworkError names the offending record.
+    """
     node_index: dict[int, int] = {}
     for pos, n in enumerate(nodes):
         if n.id in node_index:
-            raise NetworkError(f"duplicate node id {n.id}")
+            raise NetworkError(f"duplicate node id {n.id}", ("nodes", pos))
+        if not all(math.isfinite(x) for x in n.numeric):
+            raise NetworkError(f"node {n.id}: numeric features must be finite", ("nodes", pos))
         node_index[n.id] = pos
     edge_index: dict[int, int] = {}
     for pos, e in enumerate(edges):
+        where = ("edges", pos)
         if e.id in edge_index:
-            raise NetworkError(f"duplicate edge id {e.id}")
+            raise NetworkError(f"duplicate edge id {e.id}", where)
         if e.from_node not in node_index:
-            raise NetworkError(f"edge {e.id}: dangling from_node {e.from_node}")
+            raise NetworkError(f"edge {e.id}: dangling from_node {e.from_node}", where)
         if e.to_node not in node_index:
-            raise NetworkError(f"edge {e.id}: dangling to_node {e.to_node}")
+            raise NetworkError(f"edge {e.id}: dangling to_node {e.to_node}", where)
         if e.from_node == e.to_node:
-            raise NetworkError(f"edge {e.id}: self-loop edges are not allowed")
-        if e.length_m <= 0:
-            raise NetworkError(f"edge {e.id}: length must be > 0")
-        if e.speed_limit_kph <= 0:
-            raise NetworkError(f"edge {e.id}: speed limit must be > 0")
+            raise NetworkError(f"edge {e.id}: self-loop edges are not allowed", where)
+        if not all(math.isfinite(x) for x in e.numeric):
+            raise NetworkError(f"edge {e.id}: numeric features must be finite", where)
+        if not (e.length_m > 0):
+            raise NetworkError(f"edge {e.id}: length must be > 0", where)
+        if not (e.speed_limit_kph > 0):
+            raise NetworkError(f"edge {e.id}: speed limit must be > 0", where)
         edge_index[e.id] = pos
 
     def infer_vocabs(rows: list[tuple[int, ...]], n_slots: int) -> tuple[int, ...]:
@@ -212,14 +230,14 @@ def build_network(
     edge_cat = [e.categorical for e in edges]
     nv = node_vocabs or infer_vocabs(node_cat, len(NODE_CATEGORICAL_SLOTS))
     ev = edge_vocabs or infer_vocabs(edge_cat, len(EDGE_CATEGORICAL_SLOTS))
-    for rec in nodes:
+    for pos, rec in enumerate(nodes):
         for j, val in enumerate(rec.categorical):
             if not 0 <= val < nv[j]:
-                raise NetworkError(f"node {rec.id}: categorical slot {j} value {val} outside vocabulary {nv[j]}")
-    for rec in edges:
+                raise NetworkError(f"node {rec.id}: categorical slot {j} value {val} outside vocabulary {nv[j]}", ("nodes", pos))
+    for pos, rec in enumerate(edges):
         for j, val in enumerate(rec.categorical):
             if not 0 <= val < ev[j]:
-                raise NetworkError(f"edge {rec.id}: categorical slot {j} value {val} outside vocabulary {ev[j]}")
+                raise NetworkError(f"edge {rec.id}: categorical slot {j} value {val} outside vocabulary {ev[j]}", ("edges", pos))
 
     node_adj, edge_adj = _build_adjacency(edges, node_index, len(nodes))
     return RoadNetwork(
@@ -314,39 +332,18 @@ def load_network(nodes_source, edges_source, schema_source=None) -> RoadNetwork:
     node_vocabs = edge_vocabs = None
     if schema_source is not None:
         schema = load_schema(schema_source)
+        missing = [slot for slot in NODE_CATEGORICAL_SLOTS + EDGE_CATEGORICAL_SLOTS if slot not in schema]
+        if missing:
+            raise NetworkError(f"schema lacks cardinality for slot(s) {', '.join(missing)}")
         node_vocabs = tuple(schema[s] for s in NODE_CATEGORICAL_SLOTS)
         edge_vocabs = tuple(schema[s] for s in EDGE_CATEGORICAL_SLOTS)
     try:
         return build_network(nodes, edges, node_vocabs, edge_vocabs)
-    except NetworkError:
-        # Re-run with row numbers so loader errors stay actionable.
-        raise _relocate_error(nodes, edges, node_vocabs, edge_vocabs)
-
-
-def _relocate_error(nodes, edges, node_vocabs, edge_vocabs) -> NetworkError:
-    seen: set[int] = set()
-    for pos, n in enumerate(nodes):
-        if n.id in seen:
-            return NetworkError(f"nodes row {pos + 2}: duplicate node id {n.id}")
-        seen.add(n.id)
-    node_ids = {n.id for n in nodes}
-    seen = set()
-    for pos, e in enumerate(edges):
-        where = f"edges row {pos + 2}"
-        if e.id in seen:
-            return NetworkError(f"{where}: duplicate edge id {e.id}")
-        seen.add(e.id)
-        if e.from_node not in node_ids or e.to_node not in node_ids:
-            return NetworkError(f"{where}: dangling node reference")
-        if e.from_node == e.to_node:
-            return NetworkError(f"{where}: self-loop edge")
-        if e.length_m <= 0 or e.speed_limit_kph <= 0:
-            return NetworkError(f"{where}: non-positive length or speed limit")
-    try:
-        build_network(nodes, edges, node_vocabs, edge_vocabs)
     except NetworkError as exc:
-        return exc
-    return NetworkError("network validation failed")
+        if exc.record is None:
+            raise
+        table, pos = exc.record
+        raise NetworkError(f"{table} row {pos + 2}: {exc}", exc.record) from None
 
 
 def save_network(network: RoadNetwork, nodes_dest, edges_dest, schema_dest=None) -> None:

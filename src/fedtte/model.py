@@ -175,15 +175,10 @@ def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseM
 # forward passes
 
 
-def embed_features(network: RoadNetwork, params: BaseModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Initial entity representations: summed slot lookups + identity rows +
-    projected standardized numeric features."""
-    he, _ = _embed_side(network, params, "e")
-    hv, _ = _embed_side(network, params, "v")
-    return he, hv
-
-
 def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str):
+    """Initial entity representations of one side ("e" or "v"): summed slot
+    lookups + identity rows + projected standardized numeric features; also
+    returns the standardized features."""
     v = params.values
     if side == "e":
         cat, num = network.edge_categorical, network.edge_numeric
@@ -203,24 +198,10 @@ def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str):
     return h, x
 
 
-def gcn_forward(laplacian, h: np.ndarray, w: np.ndarray, theta: np.ndarray, hops: int) -> np.ndarray:
-    """One graph-convolution layer: ReLU(sum_{c=0}^{hops} theta_c L^c h) W.
-
-    Powers of L are applied iteratively; L^c is never materialized.
-    """
-    if laplacian.shape[0] != h.shape[0]:
-        raise ValueError(f"laplacian rows {laplacian.shape[0]} != h rows {h.shape[0]}")
-    if len(theta) != hops + 1:
-        raise ValueError(f"theta must have {hops + 1} coefficients, got {len(theta)}")
-    acc = theta[0] * h
-    power = h
-    for c in range(1, hops + 1):
-        power = laplacian @ power
-        acc = acc + theta[c] * power
-    return nn.relu(acc) @ w
-
-
 def _gcn_stack_forward(laplacian, h0: np.ndarray, params: BaseModelParams, side: str):
+    """gcn_layers graph convolutions ReLU(sum_{c=0}^{hops} theta_c L^c h) W, with
+    the powers of L applied iteratively (L^c is never materialized); also
+    returns the per-layer caches the backward pass reads."""
     caches = []
     h = h0
     for layer in range(params.cfg.gcn_layers):

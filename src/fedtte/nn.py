@@ -1,10 +1,10 @@
 """Minimal dense-tensor and layer substrate.
 
 Everything the model module composes lives here: named parameter sets with a
-canonical (lexicographic) ordering, forward passes for the handful of layer
-types in use, hand-written analytic gradients, plain SGD, a central-difference
-gradient-checking oracle, and a flat binary serialization used for checkpoints
-and simulated uploads.
+canonical (lexicographic) ordering, the layer helpers the model does not
+inline (embedding-gradient scatter, softmax, ReLU), plain SGD, a
+central-difference gradient-checking oracle, and a flat binary serialization
+used for checkpoints and simulated uploads.
 
 Tensors are plain float64 numpy arrays. A ParamSet is a ``dict[str, ndarray]``
 treated as a value: operations return new dicts with new arrays and never
@@ -62,13 +62,6 @@ def init_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
 # ParamSet plumbing
 
 
-def congruent(a: ParamSet, b: ParamSet) -> bool:
-    """True iff both sets share keys and per-key shapes."""
-    if a.keys() != b.keys():
-        return False
-    return all(a[k].shape == b[k].shape for k in a)
-
-
 def assert_congruent(a: ParamSet, b: ParamSet) -> None:
     if a.keys() != b.keys():
         only_a = sorted(a.keys() - b.keys())
@@ -83,32 +76,8 @@ def clone_params(params: ParamSet) -> ParamSet:
     return {k: v.copy() for k, v in params.items()}
 
 
-def params_finite(params: ParamSet) -> bool:
-    return all(np.isfinite(v).all() for v in params.values())
-
-
 def zeros_like_params(params: ParamSet) -> GradSet:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def flatten_params(params: ParamSet) -> np.ndarray:
-    """Concatenate all tensors in lexicographic name order."""
-    if not params:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate([params[k].ravel() for k in sorted(params)])
-
-
-def unflatten_params(vec: np.ndarray, like: ParamSet) -> ParamSet:
-    """Inverse of flatten_params against a congruent template; bit-exact."""
-    out: ParamSet = {}
-    pos = 0
-    for k in sorted(like):
-        n = like[k].size
-        out[k] = vec[pos : pos + n].reshape(like[k].shape).copy()
-        pos += n
-    if pos != vec.size:
-        raise ValueError(f"flat vector length {vec.size} != template size {pos}")
-    return out
 
 
 def serialize_params(params: ParamSet) -> bytes:
@@ -116,7 +85,7 @@ def serialize_params(params: ParamSet) -> bytes:
     name length, name bytes, rank, dims, raw float64 little-endian data."""
     chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(params))]
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.asarray(params[name], dtype=np.float64)  # keeps a 0-d tensor 0-d
         raw_name = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw_name)))
         chunks.append(raw_name)
@@ -180,39 +149,10 @@ def params_digest(params: ParamSet) -> str:
 # layers
 
 
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """y = xW + b for x of shape (n, d), W of shape (d, k).
-
-    b may have length k (per output column, the usual case) or length n
-    (per-row scalar added across all columns). When n == k the per-column
-    reading wins.
-    """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"shape mismatch: x{x.shape} @ w{w.shape}")
-    y = x @ w
-    if b is None:
-        return y
-    if b.ndim != 1:
-        raise ValueError(f"bias must be rank 1, got shape {b.shape}")
-    n, k = y.shape
-    if b.shape[0] == k:
-        return y + b
-    if b.shape[0] == n:
-        return y + b[:, None]
-    raise ValueError(f"bias length {b.shape[0]} matches neither columns {k} nor rows {n}")
-
-
-def embedding_lookup(table: np.ndarray, ids: Iterable[int]) -> np.ndarray:
-    """Row gather; the matching gradient is a scatter-add into the table."""
-    idx = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
-    return table[idx]
-
-
 def embedding_scatter(shape: tuple[int, ...], ids: Iterable[int], grad_rows: np.ndarray) -> np.ndarray:
-    """Gradient of embedding_lookup: accumulate grad_rows into an all-zero
-    table of the given shape at the looked-up ids (duplicates accumulate)."""
+    """Gradient of the row gather table[ids]: accumulate grad_rows into an
+    all-zero table of the given shape at the looked-up ids (duplicates
+    accumulate)."""
     out = np.zeros(shape, dtype=np.float64)
     idx = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
     np.add.at(out, idx, grad_rows)

@@ -11,7 +11,9 @@ global model the server delivered at round t-1: every edge gets a change
 score (L2 norm of its row difference across the edge-indexed tables) and the
 top-k edges by score, ties broken by ascending edge index, form the revealed
 set. Risk is the exactly-counted fraction of the client's truly traveled
-edges that the attack recovers.
+edges that the attack recovers. risk_eval runs the federated module's
+training round step and attacks the uploads it returns, so the risk is
+measured on the uploads training makes.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ def risk_eval(
     seed: int = 0,
     start_values: nn.ParamSet | None = None,
 ) -> list[AttackReport]:
-    """Simulate uploads at one epsilon and attack every participant.
+    """Train one day at one epsilon and attack every upload of its first rounds.
 
-    Mirrors the round loop of the federated module but keeps the uploads
-    visible, which a round record deliberately does not. start_values, when
-    given, seeds the server with a previously trained checkpoint instead of
-    a fresh initialization.
+    Runs the training round step (federated.train_round) over the day's
+    instants until `rounds` rounds have trained, and attacks each upload it
+    returns against the global model delivered before the round. Skipped
+    instants advance the round index exactly as in training. start_values,
+    when given, seeds the server with a previously trained checkpoint
+    instead of a fresh initialization.
     """
     from . import federated as fed  # runtime import: federated depends on this module
 
@@ -141,29 +145,20 @@ def risk_eval(
         server.global_params = server.global_params.with_values(nn.clone_params(start_values))
     reports: list[AttackReport] = []
     done = 0
-    for instant in fed.day_instants(fed.default_schedule(), day=0):
+    for instant in fed.day_instants(server.schedule, day=0):
         if done >= rounds:
             break
-        eligible = [c for c in pool if c.in_window(instant.start, instant.end)]
-        if not eligible:
-            continue
-        global_prev = nn.clone_params(server.global_params.values)
-        m = min(cfg.clients_per_round, len(eligible))
-        chosen = fed.select_clients(eligible, m, nn.spawn_rng(cfg.seed, "select", server.round_index))
-        by_id = {c.client_id: c for c in eligible}
-        received = []
-        for cid in chosen:
-            client = by_id[cid]
-            upload, n_m = fed.client_update(client, server.global_params, cfg, (instant.start, instant.end), round_index=server.round_index)
-            truth = frozenset(pos for t in client.in_window(instant.start, instant.end) for pos in t.route.edge_positions())
+        window = (instant.start, instant.end)
+        global_prev = server.global_params.values  # train_round replaces it, never writes into it
+        uploads = fed.train_round(server, pool, window, cfg)
+        for client, _, upload in uploads:
+            truth = frozenset(pos for t in client.in_window(*window) for pos in t.route.edge_positions())
             revealed = difference_attack(global_prev, upload, k)
             reports.append(
-                AttackReport(client_id=cid, k=k, revealed=tuple(revealed), truth=truth, risk=attack_risk(truth, revealed))
+                AttackReport(client_id=client.client_id, k=k, revealed=tuple(revealed), truth=truth, risk=attack_risk(truth, revealed))
             )
-            received.append((n_m, upload))
-        server.global_params = server.global_params.with_values(fed.aggregate(received))
-        server.round_index += 1
-        done += 1
+        if uploads:
+            done += 1
     return reports
 
 
@@ -178,17 +173,11 @@ def risk_sweep(
     seeds=range(20),
     start_values: nn.ParamSet | None = None,
 ) -> tuple[dict[float, float], list[dict]]:
-    """Mean attack risk per epsilon over clients and seeds, plus CSV rows.
-
-    Requires at least two distinct epsilons (single settings go through
-    risk_eval directly).
-    """
-    eps_list = list(epsilons)
-    if len(set(eps_list)) < 2:
-        raise ValueError("risk_sweep needs at least two distinct epsilons")
+    """Mean attack risk per epsilon over clients and seeds, plus CSV rows:
+    one per attacked upload, then an "all" row with the epsilon's mean."""
     rows: list[dict] = []
     means: dict[float, float] = {}
-    for eps in eps_list:
+    for eps in epsilons:
         risks = []
         for seed in seeds:
             for report in risk_eval(

@@ -1,8 +1,28 @@
 """Shared fixtures: small networks and worlds reused across test modules."""
 
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from fedtte import data, graph, model
+
+# Text for one numeric CSV field: special values, float reprs and garbage.
+# Control and line-separator characters are left out so a row stays one line.
+NUMERIC_FIELD_TEXT = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-0", "0", "0.0", "-1", "5", " 7 ", "1_0", "", "abc", "1e", "0x10"]),
+    st.floats().map(repr),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=8),
+)
+
+
+def finite_value(text):
+    """float(text) when it parses to a finite number, else None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def make_node(i, lat=0.0, lon=0.0):

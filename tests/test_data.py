@@ -13,7 +13,7 @@ from fedtte import data, graph, model
 from fedtte.data import DriverSpec, GridSpec, TrajectoryRecord, WorldSpec
 from fedtte.graph import Route
 
-from conftest import make_edge, make_node
+from conftest import NUMERIC_FIELD_TEXT, finite_value, make_edge, make_node
 
 
 def unit_grid(rows, cols):
@@ -141,6 +141,27 @@ def test_load_rejects_alternation_violation(tmp_path, tiny_world):
     with pytest.raises(ValueError) as exc:
         data.load_trajectories(path, tiny_world.network)
     assert "row 2" in str(exc.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=NUMERIC_FIELD_TEXT)
+def test_load_travel_time_fuzz(tmp_path_factory, tiny_world, text):
+    # row 3's travel time loads when it is a finite number > 0; otherwise
+    # ValueError names the row
+    path = tmp_path_factory.mktemp("traj") / "t.csv"
+    path.write_text(
+        "driver_id,departure_iso8601,travel_time_s,path\n"
+        "d0,2024-01-01T08:00:00,60.0,e0\n"
+        f"d0,2024-01-01T09:00:00,{text},e0\n",
+        encoding="utf-8",
+    )
+    value = finite_value(text)
+    if value is not None and value > 0 and "," not in text:
+        assert data.load_trajectories(path, tiny_world.network)[1].y == value
+    else:
+        with pytest.raises(ValueError) as exc:
+            data.load_trajectories(path, tiny_world.network)
+        assert str(exc.value).startswith("trajectories row 3: ")
 
 
 def test_trajectory_round_trip(tmp_path, tiny_world):

@@ -336,14 +336,14 @@ def test_run_round_serves_from_latest_state(tiny_cfg):
     cfg = FederatedConfig(clients_per_round=1, local_epochs=1, base_lr=1e-6, dp_epsilon=math.inf)
     server, pool = _server_and_pool(world, cfg, tiny_cfg)
     instant = next(i for i in day_instants(server.schedule, day=0) if i.hour == 7.5)
-    with pytest.raises(ValueError):
-        server.serve(pool[0].trajectories[0].route)  # nothing aggregated yet
+    assert server.latest_state is None  # nothing aggregated yet
     record, _, state = run_round(server, pool, instant, cfg)
     # queries between 07:30 and 08:00 are answered from the 07:30 aggregate
     if not record.skipped:
         assert server.latest_state is state
         route = pool[0].trajectories[0].route
-        assert server.serve(route) == model.predict_route(state, route, strict=False)
+        served = model.predict_route(server.latest_state, route, strict=False)
+        assert served == model.predict_route(state, route, strict=False)
         assert state.slot == model.slot_of_time(instant.end, tiny_cfg.time_slots)
 
 

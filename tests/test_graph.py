@@ -1,5 +1,6 @@
 """Road-network tests: adjacency, Laplacian, route validation, CSV round trip."""
 
+import csv
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fedtte import graph
 from fedtte.graph import EdgeRecord, NetworkError, NodeRecord, Route
 
-from conftest import make_edge, make_node, make_path_network, make_triangle_network
+from conftest import NUMERIC_FIELD_TEXT, finite_value, make_edge, make_node, make_path_network, make_triangle_network
 
 
 def test_two_node_single_edge_has_empty_edge_adjacency():
@@ -152,6 +153,92 @@ def test_load_reports_row_numbers(tmp_path):
     with pytest.raises(NetworkError) as exc:
         graph.load_network(nodes_csv, edges_csv)
     assert "2" in str(exc.value)  # data row 2 (1-based with header)
+
+
+NODE_HEADER = ["node_id", "lat", "lon", "junction_type", "has_signal", "has_crossing"]
+EDGE_HEADER = ["edge_id", "from_node", "to_node", "road_type", "length_m", "speed_limit_kph", "lanes", "width_m", "is_bridge", "is_tunnel"]
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _path_csvs(directory, node_rows=None, edge_rows=None):
+    """nodes.csv / edges.csv of the chain 0 -> 1 -> 2, with rows overridable."""
+    nodes, edges = directory / "nodes.csv", directory / "edges.csv"
+    _write_csv(nodes, NODE_HEADER, node_rows or [[i, float(i), 0.0, 0, 0, 0] for i in range(3)])
+    _write_csv(edges, EDGE_HEADER, edge_rows or [[i, i, i + 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0] for i in range(2)])
+    return nodes, edges
+
+
+@pytest.mark.parametrize(
+    "second_edge",
+    [
+        [0, 1, 2, 0, 100.0, 50.0, 1.0, 3.5, 0, 0],  # duplicate edge id
+        [1, 7, 2, 0, 100.0, 50.0, 1.0, 3.5, 0, 0],  # dangling from_node
+        [1, 1, 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0],  # self-loop
+        [1, 1, 2, 0, -0.0, 50.0, 1.0, 3.5, 0, 0],  # length not > 0
+        [1, 1, 2, 0, 100.0, 0.0, 1.0, 3.5, 0, 0],  # speed limit not > 0
+        [1, 1, 2, 0, 100.0, 50.0, 1.0, "nan", 0, 0],  # non-finite width
+        [1, 1, 2, 5, 100.0, 50.0, 1.0, 3.5, 0, 0],  # road type outside the schema vocabulary
+    ],
+)
+def test_load_names_the_offending_edge_row(tmp_path, second_edge):
+    first_edge = [0, 0, 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0]
+    nodes, edges = _path_csvs(tmp_path, edge_rows=[first_edge, second_edge])
+    schema = tmp_path / "schema.txt"
+    schema.write_text("junction_type=1\nhas_signal=1\nhas_crossing=1\nroad_type=2\nspecial_type=4\n")
+    with pytest.raises(NetworkError) as exc:
+        graph.load_network(nodes, edges, schema)
+    assert str(exc.value).startswith("edges row 3: ")
+
+
+def test_load_names_the_offending_node_row(tmp_path):
+    nodes, edges = _path_csvs(tmp_path, node_rows=[[0, 0.0, 0.0, 0, 0, 0], [1, 1.0, 0.0, 0, 0, 0], [1, 2.0, 0.0, 0, 0, 0]])
+    with pytest.raises(NetworkError) as exc:
+        graph.load_network(nodes, edges)
+    assert str(exc.value).startswith("nodes row 4: duplicate node id 1")
+
+
+def test_schema_missing_slot_is_named(tmp_path):
+    nodes, edges = _path_csvs(tmp_path)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("junction_type=1\nhas_crossing=1\nroad_type=1\nspecial_type=4\n")
+    with pytest.raises(NetworkError, match="has_signal"):
+        graph.load_network(nodes, edges, schema)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    table=st.sampled_from(["nodes", "edges"]),
+    column=st.integers(min_value=0, max_value=3),
+    text=NUMERIC_FIELD_TEXT,
+)
+def test_load_network_numeric_fields_fuzz(tmp_path_factory, table, column, text):
+    # one numeric field of data row 3 holds the text: it loads when the text
+    # is a finite number (> 0 for length and speed limit), else ValueError
+    # names the row
+    directory = tmp_path_factory.mktemp("net")
+    node_rows = [[i, float(i), 0.0, 0, 0, 0] for i in range(3)]
+    edge_rows = [[i, i, i + 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0] for i in range(2)]
+    if table == "nodes":
+        column %= 2
+        node_rows[1][1 + column] = text
+    else:
+        edge_rows[1][4 + column] = text
+    nodes, edges = _path_csvs(directory, node_rows, edge_rows)
+    value = finite_value(text)
+    if value is not None and (table == "nodes" or column >= 2 or value > 0):
+        net = graph.load_network(nodes, edges)
+        numeric = net.node_numeric[1, column] if table == "nodes" else net.edge_numeric[1, column]
+        assert numeric == value
+    else:
+        with pytest.raises(ValueError) as exc:
+            graph.load_network(nodes, edges)
+        assert str(exc.value).startswith(f"{table} row 3: ")
 
 
 def test_save_load_round_trip_bit_identical(tmp_path, small_world):

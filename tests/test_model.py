@@ -1,5 +1,7 @@
 """Base + personal model tests: embeddings, GCN, attention, route prediction,
-analytic gradients against finite differences."""
+analytic gradients against finite differences. The embedding and graph
+convolution tests drive the model's own forward helpers (_embed_side,
+_gcn_stack_forward)."""
 
 from datetime import datetime
 
@@ -27,7 +29,7 @@ def route_of(positions, departure=MIDNIGHT, driver="d0"):
     return Route(steps=tuple(positions), departure_time=departure, driver_id=driver)
 
 
-# ---------------------------------------------------------------- embed_features
+# ---------------------------------------------------------------- embeddings (_embed_side)
 
 def _categorical_network():
     # 3 edges with distinct road_type values 0/1/2, all numerics equal
@@ -44,7 +46,7 @@ def test_embed_features_reduces_to_slot_lookup(tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=0)
     # silence everything except the road_type slot table
     zero_all(params, ["num_proj_e.w", "num_proj_e.b", "embed_e.identity", "embed_e.slot1"])
-    he, _ = model.embed_features(net, params)
+    he, _ = model._embed_side(net, params, "e")
     table = params.values["embed_e.slot0"]
     for pos, e in enumerate(net.edges):
         assert np.array_equal(he[pos], table[e.categorical[0]])
@@ -58,38 +60,43 @@ def test_embed_features_identical_features_identical_rows(tiny_cfg):
     net = graph.build_network(nodes, edges)
     params = model.init_base_params(net, tiny_cfg, seed=1)
     zero_all(params, ["embed_e.identity"])
-    he, _ = model.embed_features(net, params)
+    he, _ = model._embed_side(net, params, "e")
     assert np.array_equal(he[0], he[1])
 
 
-# ---------------------------------------------------------------- gcn_forward
+# ---------------------------------------------------------------- graph convolution (_gcn_stack_forward)
+
+def gcn(lap, h, w, theta):
+    """One layer of the model's graph convolution with hand-set weights."""
+    cfg = ModelConfig(gcn_layers=1, hops=len(theta) - 1)
+    unused = np.zeros(0)
+    params = model.BaseModelParams(
+        cfg=cfg, values={"gcn_e.l0.w": w, "gcn_e.l0.theta": theta},
+        edge_num_mean=unused, edge_num_std=unused, node_num_mean=unused, node_num_std=unused,
+    )
+    out, _ = model._gcn_stack_forward(lap, h, params, "e")
+    return out
+
 
 def test_gcn_zero_hops_identity_weight_nonnegative_input():
     h = np.array([[1.0, 2.0], [0.5, 0.0]])
     lap = np.eye(2)
-    out = model.gcn_forward(lap, h, w=np.eye(2), theta=np.array([1.0]), hops=0)
+    out = gcn(lap, h, w=np.eye(2), theta=np.array([1.0]))
     assert np.array_equal(out, h)
 
 
 def test_gcn_one_hop_path_example():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     h = np.array([[1.0], [0.0]])
-    out = model.gcn_forward(lap, h, w=np.array([[1.0]]), theta=np.array([1.0, 1.0]), hops=1)
+    out = gcn(lap, h, w=np.array([[1.0]]), theta=np.array([1.0, 1.0]))
     assert np.array_equal(out, np.array([[2.0], [0.0]]))
 
 
 def test_gcn_zero_theta_zero_output():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     h = np.array([[3.0], [4.0]])
-    out = model.gcn_forward(lap, h, w=np.array([[2.0]]), theta=np.zeros(2), hops=1)
+    out = gcn(lap, h, w=np.array([[2.0]]), theta=np.zeros(2))
     assert np.array_equal(out, np.zeros((2, 1)))
-
-
-def test_gcn_shape_errors():
-    with pytest.raises(ValueError):
-        model.gcn_forward(np.eye(3), np.ones((2, 1)), np.eye(1), np.array([1.0]), hops=0)
-    with pytest.raises(ValueError):
-        model.gcn_forward(np.eye(2), np.ones((2, 1)), np.eye(1), np.array([1.0]), hops=1)
 
 
 # ---------------------------------------------------------------- temporal attention

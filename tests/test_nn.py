@@ -1,22 +1,55 @@
 """Numeric-kernel tests: layers, optimizer, gradient checking, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import model, nn
+from fedtte import graph, model, nn
 
 
-# ---------------------------------------------------------------- linear
+# ---------------------------------------------------------------- affine projection and row lookup
+# The model inlines both layers in model._embed_side: node features (lat, lon)
+# go through x @ num_proj_v.w + num_proj_v.b and junction_type ids pick rows of
+# embed_v.slot0. With the standardization set to mean 0 / std 1 and every
+# other term zeroed, the side's output is the layer alone.
+
+
+def _embed_side_v(numeric, junction_types, values):
+    """Node-side embeddings of the given nodes, standardization switched off,
+    with the named tensors replaced and every other node tensor zeroed."""
+    n = len(numeric)
+    nodes = [graph.NodeRecord(id=i, categorical=(j, 0, 0), numeric=tuple(x)) for i, (x, j) in enumerate(zip(numeric, junction_types))]
+    # a network needs an edge: two anchor nodes after the ones under test carry it
+    nodes += [graph.NodeRecord(id=n + i, categorical=(0, 0, 0), numeric=(0.0, 0.0)) for i in range(2)]
+    edge = graph.EdgeRecord(id=0, from_node=n, to_node=n + 1, categorical=(0, 0), numeric=(100.0, 50.0, 1.0, 3.5))
+    net = graph.build_network(nodes, [edge])
+    dim = next(iter(values.values())).shape[1]
+    params = model.init_base_params(net, model.ModelConfig(embed_dim=dim), seed=0)
+    params = replace(params, node_num_mean=np.zeros(2), node_num_std=np.ones(2))
+    for name in ("embed_v.identity", "embed_v.slot0", "embed_v.slot1", "embed_v.slot2", "num_proj_v.w", "num_proj_v.b"):
+        params.values[name] = values.get(name, np.zeros_like(params.values[name]))
+    h, x_std = model._embed_side(net, params, "v")
+    assert np.array_equal(x_std[:n], numeric)
+    return h[:n]
+
+
+def _projection(x, w, b):
+    return _embed_side_v(x, [0] * len(x), {"num_proj_v.w": w, "num_proj_v.b": b})
+
+
+def _lookup(table, ids):
+    return _embed_side_v(np.zeros((len(ids), 2)), ids, {"embed_v.slot0": table})
+
 
 def test_linear_identity_weight():
     x = np.eye(2)
     w = np.array([[2.0, 0.0], [0.0, 3.0]])
     b = np.zeros(2)
-    out = nn.linear_forward(x, w, b)
+    out = _projection(x, w, b)
     assert np.array_equal(out, np.array([[2.0, 0.0], [0.0, 3.0]]))
 
 
@@ -24,37 +57,35 @@ def test_linear_sum_plus_bias():
     x = np.array([[1.0, 1.0]])
     w = np.array([[1.0], [1.0]])
     b = np.array([1.0])
-    out = nn.linear_forward(x, w, b)
+    out = _projection(x, w, b)
     assert out.shape == (1, 1)
     assert out[0, 0] == 3.0
 
 
 def test_linear_zero_input_broadcasts_bias():
-    x = np.zeros((4, 3))
-    w = np.ones((3, 2))
+    x = np.zeros((4, 2))
+    w = np.ones((2, 2))
     b = np.array([5.0, -1.0])
-    out = nn.linear_forward(x, w, b)
+    out = _projection(x, w, b)
     assert np.array_equal(out, np.tile(b, (4, 1)))
 
-
-# ---------------------------------------------------------------- embedding
 
 def test_embedding_repeated_ids_share_rows():
     rng = np.random.default_rng(0)
     table = rng.normal(size=(5, 3))
-    out = nn.embedding_lookup(table, np.array([0, 0]))
+    out = _lookup(table, [0, 0])
     assert np.array_equal(out[0], out[1])
     assert np.array_equal(out[0], table[0])
 
 
 def test_embedding_picks_requested_row():
     table = np.arange(9.0).reshape(3, 3)
-    out = nn.embedding_lookup(table, np.array([2]))
+    out = _lookup(table, [2])
     assert np.array_equal(out[0], table[2])
 
 
 def test_embedding_scatter_accumulates_duplicates():
-    # d/dtable of sum(lookup(table, [0, 0])) puts 2 into every entry of row 0
+    # d/dtable of sum(table[[0, 0]]) puts 2 into every entry of row 0
     table = np.zeros((3, 2))
     upstream = np.ones((2, 2))
     grad = nn.embedding_scatter(table.shape, np.array([0, 0]), upstream)
@@ -128,7 +159,7 @@ def test_sgd_deterministic():
 
 def _linear_sq_loss(params, inputs):
     x, y = inputs
-    pred = nn.linear_forward(x, params["w"], params["b"])
+    pred = x @ params["w"] + params["b"]
     resid = pred - y
     loss = float(np.sum(resid * resid))
     return loss, {"w": 2.0 * x.T @ resid, "b": 2.0 * resid.sum(axis=0)}
@@ -143,7 +174,7 @@ def test_check_gradients_linear():
 
 
 def _embed_softmax_loss(params, ids):
-    rows = nn.embedding_lookup(params["table"], ids)
+    rows = params["table"][ids]
     logits = rows.sum(axis=1)
     p = nn.softmax(logits)
     loss = float(np.sum(p * p))
@@ -192,19 +223,22 @@ def _random_params(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_flatten_unflatten_identity(seed):
+    # the flat binary form and back is the identity, bit for bit
     params = _random_params(seed)
-    flat = nn.flatten_params(params)
-    back = nn.unflatten_params(flat, params)
+    back = nn.deserialize_params(nn.serialize_params(params))
     assert sorted(back) == sorted(params)
     for k in params:
+        assert back[k].shape == params[k].shape
         assert np.array_equal(back[k], params[k])
 
 
 def test_serialize_round_trip(tmp_path):
     params = _random_params(42)
+    params["d"] = np.array(3.0)  # a 0-d tensor keeps its shape ()
     blob = nn.serialize_params(params)
     back = nn.deserialize_params(blob)
     for k in params:
+        assert back[k].shape == params[k].shape
         assert np.array_equal(back[k], params[k])
     # file round trip is bit-identical too
     path = tmp_path / "params.bin"
@@ -232,9 +266,12 @@ def test_digest_tracks_content():
 def test_congruent_and_mismatch():
     a = _random_params(0)
     b = _random_params(1)
-    assert nn.congruent(a, b)
+    nn.assert_congruent(a, b)
     b["extra"] = np.zeros(1)
-    assert not nn.congruent(a, b)
+    with pytest.raises(ValueError):
+        nn.assert_congruent(a, b)
+    b = _random_params(1)
+    b["a"] = np.zeros((4, 3))
     with pytest.raises(ValueError):
         nn.assert_congruent(a, b)
 
@@ -258,7 +295,11 @@ def test_stable_hash_and_spawn_rng_reproducible():
 
 
 def test_params_finite_flags_nan():
-    params = _random_params(2)
-    assert nn.params_finite(params)
-    params["b"][3] = np.nan
-    assert not nn.params_finite(params)
+    # the gradient check refuses parameters that make the loss non-finite
+    rng = np.random.default_rng(2)
+    params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+    inputs = (rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+    assert nn.check_gradients(_linear_sq_loss, params, inputs, eps=1e-5) < 1e-6
+    params["b"][1] = np.nan
+    with pytest.raises(FloatingPointError):
+        nn.check_gradients(_linear_sq_loss, params, inputs, eps=1e-5)

@@ -2,11 +2,12 @@
 attack ranking, risk arithmetic, sweep plumbing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedtte import federated, model, nn, privacy
+from fedtte import data, federated, model, nn, privacy
 from fedtte.privacy import AttackReport, DpConfig
 
 
@@ -200,10 +201,50 @@ def test_risk_sweep_rows_and_aggregates(tiny_world, tmp_path):
     assert len(lines) == len(rows) + 1
 
 
-def test_risk_sweep_rejects_single_epsilon(tiny_world):
-    with pytest.raises(ValueError):
-        privacy.risk_sweep(
-            tiny_world, [1.0],
-            fed_config=federated.FederatedConfig(),
-            model_cfg=model.ModelConfig(time_slots=4),
-        )
+def test_risk_sweep_single_epsilon(tiny_world):
+    # one epsilon is a one-row-per-upload sweep plus its "all" row
+    kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model.ModelConfig(time_slots=4), rounds=2, k=5)
+    means, rows = privacy.risk_sweep(tiny_world, [1.0], seeds=[3], **kwargs)
+    reports = privacy.risk_eval(tiny_world, 1.0, seed=3, **kwargs)
+    assert set(means) == {1.0}
+    assert rows[:-1] == [
+        {"epsilon": "1.0", "seed": "3", "client_id": r.client_id, "k": "5", "risk": repr(r.risk)} for r in reports
+    ]
+    assert rows[-1] == {"epsilon": "1.0", "seed": "all", "client_id": "all", "k": "5", "risk": repr(means[1.0])}
+    assert means[1.0] == float(np.mean([r.risk for r in reports]))
+
+
+def test_attack_reads_the_uploads_training_makes(monkeypatch):
+    # a single client whose trips start at 18:04, so every earlier instant of the
+    # day is skipped; skipped instants must advance the round index (and with
+    # it the selection and DP-noise keys) in the attack as in training
+    world = data.generate_world(data.WorldSpec(
+        grid_rows=2, grid_cols=2, n_drivers=1, trips_per_day=4, congestion="flat",
+        obs_sigma_s=0.0, bias_spread_s=0.0, time_slots=4, seed=4,
+    ))
+    fed_cfg = federated.FederatedConfig()
+    model_cfg = model.ModelConfig(time_slots=4)
+
+    attacked = []
+    client_update = federated.client_update
+
+    def recording_update(*args, **kwargs):
+        upload, n_m = client_update(*args, **kwargs)
+        attacked.append(nn.params_digest(upload))
+        return upload, n_m
+
+    monkeypatch.setattr(federated, "client_update", recording_update)
+    reports = privacy.risk_eval(world, 1.0, fed_config=fed_cfg, model_cfg=model_cfg, rounds=3, k=3, seed=5)
+    monkeypatch.undo()
+
+    train_cfg = replace(fed_cfg, dp_epsilon=1.0, seed=5)
+    server = federated.init_server(world.network, model_cfg, train_cfg)
+    pool = federated.build_clients(world)
+    trained = []
+    for instant in federated.day_instants(server.schedule, day=0):
+        record, _, _ = federated.run_round(server, pool, instant, train_cfg)
+        if not record.skipped:
+            trained.append(record)
+    assert trained[0].round_index > 0  # the world has skipped instants before training
+    assert attacked == [digest for record in trained[:3] for _, _, digest in record.clients]
+    assert [r.risk for r in reports] == [0.375, 0.5, 0.75]

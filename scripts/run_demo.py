@@ -53,7 +53,7 @@ def main() -> None:
 
     # morning-rush snapshot from the final aggregated model
     ctx = model.TimeContext.from_datetime(datetime(2024, 1, 1, 8, 0), cfg.model.time_slots)
-    state = model.traffic_state(result.world.network, result.server.global_params, ctx)
+    state = model.traffic_state(result.world.network, result.server.global_params, [ctx])[ctx]
     rows = harness.export_state(state, result.world.network)
     edge_rows = [r for r in rows if r["entity_kind"] == "edge"]
     buckets = {b: sum(1 for r in edge_rows if r["bucket"] == b) for b in harness.CONGESTION_BUCKETS}

@@ -104,6 +104,8 @@ def _cmd_attack(args) -> int:
         k=settings.k,
         seeds=seeds,
         start_values=start,
+        schedule=cfg.schedule,
+        holidays=cfg.holidays,
     )
     for row in rows:
         if row["seed"] == "all":
@@ -131,7 +133,7 @@ def _cmd_export_state(args) -> int:
         raise ValueError(f"--time must be HH:MM, got {args.time!r}") from exc
     dt = datetime.combine(EPOCH_DATE + timedelta(days=args.day), time(hh, mm))
     ctx = TimeContext.from_datetime(dt, cfg.model.time_slots)
-    state = traffic_state(world.network, params, ctx)
+    state = traffic_state(world.network, params, [ctx])[ctx]
     if args.csv is not None:
         dest = Path(args.csv)
     elif cfg.out_dir is not None:

@@ -57,14 +57,23 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("spacing_m", "speed_min_kph", "speed_max_kph", "rush_depth", "bias_spread_s", "obs_sigma_s", "signal_prob", "rush_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.grid_rows * self.grid_cols < 2 or max(self.grid_rows, self.grid_cols) < 2:
             raise ValueError("grid must contain at least one neighboring node pair")
-        if self.speed_min_kph <= 0 or self.speed_max_kph < self.speed_min_kph:
+        if not (self.spacing_m > 0):
+            raise ValueError("spacing_m must be > 0")
+        if not (self.speed_min_kph > 0 and self.speed_max_kph >= self.speed_min_kph):
             raise ValueError("speed range must satisfy 0 < min <= max")
         if self.congestion not in ("two_peak", "flat"):
             raise ValueError(f"unknown congestion curve {self.congestion!r}")
-        if self.obs_sigma_s < 0 or self.bias_spread_s < 0:
+        if not (self.obs_sigma_s >= 0 and self.bias_spread_s >= 0):
             raise ValueError("noise parameters must be >= 0")
+        if not (0 <= self.signal_prob <= 1):
+            raise ValueError("signal_prob must lie in [0, 1]")
+        if not (self.rush_weight > 0):
+            raise ValueError("rush_weight must be > 0")
         if not 1 <= self.walk_min <= self.walk_max:
             raise ValueError("walk length bounds must satisfy 1 <= min <= max")
         if self.trips_per_day < 1 or self.n_drivers < 1:

@@ -72,12 +72,12 @@ class FederatedConfig:
             raise ValueError("clients_per_round must be >= 1")
         if self.local_epochs < 1 or self.personal_epochs < 1:
             raise ValueError("epoch counts must be >= 1")
-        if self.base_lr < 0 or self.personal_lr < 0:
-            raise ValueError("learning rates must be >= 0")
+        if not (0 <= self.base_lr < math.inf and 0 <= self.personal_lr < math.inf):
+            raise ValueError("learning rates must be finite and >= 0")
         if not (self.dp_epsilon > 0):
             raise ValueError("dp_epsilon must be > 0 (math.inf disables noise)")
-        if self.dp_clip <= 0:
-            raise ValueError("dp_clip must be > 0")
+        if not (0 < self.dp_clip < math.inf):
+            raise ValueError("dp_clip must be finite and > 0")
 
 
 @dataclass
@@ -113,10 +113,16 @@ class AggregationSchedule:
         total = 0.0
         ordered = sorted(self.bands, key=lambda b: b[0] % 24)
         for start, end, delta in self.bands:
+            if not all(math.isfinite(x) for x in (start, end, delta)):
+                raise ValueError(f"band {start}-{end}:{delta}: hours and interval must be finite")
             length = (end - start) % 24 or 24.0
-            if delta <= 0:
+            if not (delta > 0):
                 raise ValueError(f"band {start}-{end}: interval must be > 0")
             quotient = length / delta
+            if not math.isfinite(quotient):
+                raise ValueError(f"band {start}-{end}: interval {delta} is too small")
+            if round(quotient) < 1:
+                raise ValueError(f"band {start}-{end}: interval {delta} yields no instant in length {length}")
             if abs(quotient - round(quotient)) > 1e-9:
                 raise ValueError(f"band {start}-{end}: interval {delta} does not divide length {length}")
             total += length
@@ -305,6 +311,7 @@ def client_update(
     config: FederatedConfig,
     window: tuple[datetime, datetime],
     round_index: int = 0,
+    holidays: frozenset = frozenset(),
 ) -> tuple[nn.ParamSet, int]:
     """Local training on the in-window trajectories, then DP noising.
 
@@ -321,7 +328,7 @@ def client_update(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_epochs):
             for traj in batch:
-                loss, grads = base_loss(client.network, localized, [(traj.route, traj.y)])
+                loss, grads = base_loss(client.network, localized, [(traj.route, traj.y)], holidays)
                 if not _step_ok(loss, grads, config.base_lr):
                     continue
                 values = nn.sgd_step(values, grads, config.base_lr)
@@ -354,6 +361,7 @@ def train_round(
     pool: list[ClientState],
     window: tuple[datetime, datetime],
     config: FederatedConfig,
+    holidays: frozenset = frozenset(),
 ) -> list[tuple[ClientState, int, nn.ParamSet]]:
     """Select, train and aggregate the clients eligible in the window.
 
@@ -369,7 +377,7 @@ def train_round(
         chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", server.round_index))
         by_id = {c.client_id: c for c in eligible}
         for cid in chosen:
-            upload, n_m = client_update(by_id[cid], server.global_params, config, window, round_index=server.round_index)
+            upload, n_m = client_update(by_id[cid], server.global_params, config, window, server.round_index, holidays)
             uploads.append((by_id[cid], n_m, upload))
         server.global_params = server.global_params.with_values(aggregate([(n_m, upload) for _, n_m, upload in uploads]))
     server.round_index += 1
@@ -392,18 +400,14 @@ def run_round(
     ctx = TimeContext.from_datetime(instant.end, server.model_cfg.time_slots, holidays)
     band = server.schedule.band_label(instant.hour)
     round_index = server.round_index
-    uploads = train_round(server, pool, window, config)
+    uploads = train_round(server, pool, window, config, holidays)
     errors = []
     if uploads:
-        state = traffic_state(server.network, server.global_params, ctx)
-        server.latest_state = state
-        state_cache: dict[TimeContext, TrafficState] = {ctx: state}
-        for client, _, _ in uploads:
-            for traj in client.in_window(*window):
-                tctx = TimeContext.from_datetime(traj.departure, server.model_cfg.time_slots, holidays)
-                if tctx not in state_cache:
-                    state_cache[tctx] = traffic_state(server.network, server.global_params, tctx)
-                errors.append(abs(predict_route(state_cache[tctx], traj.route) - traj.y))
+        trained = [traj for client, _, _ in uploads for traj in client.in_window(*window)]
+        tctxs = [TimeContext.from_datetime(traj.departure, server.model_cfg.time_slots, holidays) for traj in trained]
+        states = traffic_state(server.network, server.global_params, [ctx, *tctxs])
+        server.latest_state = states[ctx]
+        errors = [abs(predict_route(states[tctx], traj.route) - traj.y) for traj, tctx in zip(trained, tctxs)]
     record = RoundRecord(
         round_index=round_index,
         day=instant.day,
@@ -445,11 +449,10 @@ def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holiday
     batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
     for c, client in enumerate(pool):
         n_slots = client.localized_global.cfg.time_slots
-        states: dict[TimeContext, TrafficState] = {}
-        for k, traj in enumerate(sorted(client.trajectories, key=lambda t: (t.departure, t.y))):
-            ctx = TimeContext.from_datetime(traj.departure, n_slots, holidays)
-            if ctx not in states:
-                states[ctx] = traffic_state(client.network, client.localized_global, ctx)
+        trajs = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
+        ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajs]
+        states = traffic_state(client.network, client.localized_global, ctxs)
+        for k, (traj, ctx) in enumerate(zip(trajs, ctxs)):
             batch[c, k] = traj.y, predict_route(states[ctx], traj.route)
     has_pair = np.arange(batch.shape[1]) < counts[:, None]
     inputs = personal_inputs([c.profile for c in pool], [c.personal for c in pool])

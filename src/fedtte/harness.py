@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -128,6 +129,8 @@ class AttackSettings:
     def __post_init__(self) -> None:
         if self.k < 1 or self.rounds < 1 or self.seeds < 1:
             raise ValueError("attack k, rounds, and seeds must all be >= 1")
+        if not all(eps > 0 for eps in self.epsilons):
+            raise ValueError("every epsilon must be > 0 (inf disables noise)")
 
 
 @dataclass(frozen=True)
@@ -172,14 +175,27 @@ def _coerce(raw: str, typ: type) -> object:
     raise ValueError(f"config values of type {typ!r} are not supported")
 
 
+def _section_items(parser: configparser.ConfigParser, name: str):
+    """(key, raw value) pairs of a section; interpolation errors name their key."""
+    for key in parser.options(name):
+        try:
+            raw = parser.get(name, key)
+        except configparser.Error as exc:
+            raise ValueError(f"[{name}] {key}: {exc}") from exc
+        yield key, raw
+
+
 def _parse_section(parser: configparser.ConfigParser, name: str, cls: type) -> object:
+    """The section's dataclass, validated one key at a time so that an error
+    names the first key whose value the dataclass rejects."""
     hints = get_type_hints(cls)
     kwargs = {}
-    for key, raw in parser.items(name):
+    for key, raw in _section_items(parser, name):
         if key not in hints:
             raise ValueError(f"[{name}] has no setting named {key!r}")
         try:
             kwargs[key] = _coerce(raw, hints[key])
+            cls(**kwargs)
         except ValueError as exc:
             raise ValueError(f"[{name}] {key}: {exc}") from exc
     return cls(**kwargs)
@@ -198,8 +214,24 @@ def parse_bands(text: str) -> AggregationSchedule:
     return AggregationSchedule(bands=tuple(bands))
 
 
+def _parse_attack(parser: configparser.ConfigParser) -> AttackSettings:
+    kwargs: dict = {}
+    for key, raw in _section_items(parser, "attack"):
+        if key not in ("epsilons", "k", "rounds", "seeds"):
+            raise ValueError(f"[attack] has no setting named {key!r}")
+        try:
+            kwargs[key] = tuple(float(p.strip()) for p in raw.split(",")) if key == "epsilons" else int(raw)
+            AttackSettings(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"[attack] {key}: {exc}") from exc
+    return AttackSettings(**kwargs)
+
+
 def load_config(source) -> ExperimentConfig:
-    """Read a flat INI config ([world]/[model]/[federated]/[experiment]/[schedule]/[attack])."""
+    """Read a flat INI config ([world]/[model]/[federated]/[experiment]/[schedule]/[attack]).
+
+    Every invalid value raises ValueError prefixed with "[section] key: ".
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(source, encoding="utf-8") as fh:
         parser.read_file(fh)
@@ -212,28 +244,27 @@ def load_config(source) -> ExperimentConfig:
         if parser.has_section(name):
             kwargs[name] = _parse_section(parser, name, cls)
     if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key in ("days", "eval_days", "max_rounds"):
-                kwargs[key] = int(raw)
-            elif key in ("out", "out_dir"):
+        for key, raw in _section_items(parser, "experiment"):
+            if key in ("out", "out_dir"):
                 kwargs["out_dir"] = raw.strip()
-            else:
+                continue
+            if key not in ("days", "eval_days", "max_rounds"):
                 raise ValueError(f"[experiment] has no setting named {key!r}")
+            try:
+                kwargs[key] = int(raw)
+                ExperimentConfig(**{key: kwargs[key]})
+            except ValueError as exc:
+                raise ValueError(f"[experiment] {key}: {exc}") from exc
     if parser.has_section("schedule"):
-        for key, raw in parser.items("schedule"):
+        for key, raw in _section_items(parser, "schedule"):
             if key != "bands":
                 raise ValueError(f"[schedule] has no setting named {key!r}")
-            kwargs["schedule"] = parse_bands(raw)
+            try:
+                kwargs["schedule"] = parse_bands(raw)
+            except ValueError as exc:
+                raise ValueError(f"[schedule] bands: {exc}") from exc
     if parser.has_section("attack"):
-        akw: dict = {}
-        for key, raw in parser.items("attack"):
-            if key == "epsilons":
-                akw["epsilons"] = tuple(float(p.strip()) for p in raw.split(","))
-            elif key in ("k", "rounds", "seeds"):
-                akw[key] = int(raw)
-            else:
-                raise ValueError(f"[attack] has no setting named {key!r}")
-        kwargs["attack"] = AttackSettings(**akw)
+        kwargs["attack"] = _parse_attack(parser)
     return ExperimentConfig(**kwargs)
 
 
@@ -322,22 +353,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         raise RuntimeError(f"evaluation split overlaps training data on {len(leaked)} trajectories")
 
     by_client = {c.client_id: c for c in pool}
-    init_cache: dict[TimeContext, TrafficState] = {}
-    local_cache: dict[tuple[str, TimeContext], TrafficState] = {}
+    ordered = sorted(eval_records, key=lambda t: (t.driver_id, t.departure))
+    ctxs = [TimeContext.from_datetime(traj.departure, cfg.model.time_slots, cfg.holidays) for traj in ordered]
+    init_states = traffic_state(world.network, init_params, ctxs)
+    local_states = {
+        cid: traffic_state(world.network, by_client[cid].localized_global, [ctx for _, ctx in group])
+        for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id)
+    }
     base_rows: list[tuple[str, float, float]] = []
     glob_rows: list[tuple[str, float, float]] = []
     pers_rows: list[tuple[str, float, float]] = []
     pred_rows: list[dict] = []
-    for traj in sorted(eval_records, key=lambda t: (t.driver_id, t.departure)):
+    for traj, ctx in zip(ordered, ctxs):
         client = by_client[traj.driver_id]
-        ctx = TimeContext.from_datetime(traj.departure, cfg.model.time_slots, cfg.holidays)
-        if ctx not in init_cache:
-            init_cache[ctx] = traffic_state(world.network, init_params, ctx)
-        key = (client.client_id, ctx)
-        if key not in local_cache:
-            local_cache[key] = traffic_state(world.network, client.localized_global, ctx)
-        y_init = predict_route(init_cache[ctx], traj.route)
-        y_hat = predict_route(local_cache[key], traj.route)
+        y_init = predict_route(init_states[ctx], traj.route)
+        y_hat = predict_route(local_states[traj.driver_id][ctx], traj.route)
         y_final = predict_final(y_hat, personal_bias(client.profile, client.personal))
         base_rows.append((traj.driver_id, traj.y, y_init))
         glob_rows.append((traj.driver_id, traj.y, y_hat))

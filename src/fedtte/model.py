@@ -13,6 +13,15 @@ Base model pipeline, per entity kind (edges and nodes):
 4. route prediction: sum of the route's edge entries and interior-node
    entries of the traffic state at the route's slot.
 
+The base loss of a batch is evaluated exactly on the batch's receptive field:
+the edges within gcn_layers * hops line-graph hops of its routes' edges and the
+nodes within as many node-graph hops of their interior nodes, convolved with
+the sub-block of the global normalized Laplacian over those rows (not
+renormalized). Its loss and gradients equal the whole-graph pass byte for
+byte; a field over more than half of a side runs as the whole side. The
+served traffic state is one whole-graph forward pass shared by every context
+it is read at, since only the temporal attention depends on the context.
+
 The temporal attention vector comes from a K x I table whose row k encodes
 (day-of-week one-hot, slot-k one-hot, holiday embedding) through a linear
 projection; component i of the attention is the softmax over the K slots of
@@ -32,10 +41,12 @@ All backward passes are hand-written and certified by nn.check_gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import nn
 from .graph import RoadNetwork, Route
@@ -77,6 +88,8 @@ class ModelConfig:
         for name in ("embed_dim", "head_width", "holiday_dim", "personal_embed_dim", "personal_dense_dim", "profile_arity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not (0 < self.output_scale < math.inf):
+            raise ValueError("output_scale must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -175,10 +188,89 @@ def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseM
 # forward passes
 
 
-def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str):
-    """Initial entity representations of one side ("e" or "v"): summed slot
-    lookups + identity rows + projected standardized numeric features; also
-    returns the standardized features."""
+@dataclass(frozen=True)
+class _Field:
+    """The rows of one side ("e" or "v") that a pass computes and the sub-block
+    of the side's global normalized Laplacian over them, not renormalized.
+    rows is a sorted position array, or slice(None) for the whole graph."""
+
+    rows: np.ndarray | slice
+    laplacian: sp.csr_matrix
+    n_total: int
+
+    @property
+    def whole(self) -> bool:
+        return isinstance(self.rows, slice)
+
+    def local(self, positions: list[int]):
+        """Row numbers of global positions within the field."""
+        return positions if self.whole else np.searchsorted(self.rows, positions)
+
+
+def _whole_graph(network: RoadNetwork) -> tuple[_Field, _Field]:
+    return (
+        _Field(slice(None), network.laplacian_edges, network.n_edges),
+        _Field(slice(None), network.laplacian_nodes, network.n_nodes),
+    )
+
+
+def _side_field(laplacian: sp.csr_matrix, neighbors: list[tuple[int, ...]], seeds: list[int], radius: int) -> _Field:
+    """Exact field of a pass whose outputs are read at `seeds`: every row within
+    `radius` hops of them in the Laplacian's sparsity pattern (`neighbors`).
+    Row i of L @ h reads h only at i's stored entries, so a row at distance r
+    from the seeds is exact after radius - r propagation steps on the
+    sub-block."""
+    n = laplacian.shape[0]
+    reached = set(seeds)
+    frontier = reached
+    hops = 0
+    while hops < radius and 2 * len(reached) <= n:
+        grown = set()
+        for i in frontier:
+            grown.update(neighbors[i])
+        frontier = grown - reached
+        reached |= frontier
+        hops += 1
+    # A field over more than half the rows costs more to gather, scatter and
+    # pad than the rows it saves (a 2-hop ball covers 32 of a 3x4 grid's 34
+    # edges), so it runs as the whole graph. This depends on the input only.
+    if 2 * len(reached) > n:
+        return _Field(slice(None), laplacian, n)
+    rows = np.array(sorted(reached), dtype=np.int64)
+    # The sub-block keeps each row's stored entries in their stored order, so
+    # L_sub @ h sums a row's terms in the order L @ h does.
+    index_dtype = laplacian.indices.dtype
+    local = np.full(n, -1, dtype=index_dtype)
+    local[rows] = np.arange(len(rows), dtype=index_dtype)
+    starts = laplacian.indptr[rows]
+    counts = laplacian.indptr[rows + 1] - starts
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+    cols = local[laplacian.indices[entries]]
+    keep = cols >= 0
+    kept = np.zeros(len(entries) + 1, dtype=index_dtype)
+    np.cumsum(keep, out=kept[1:])
+    sub = sp.csr_matrix((laplacian.data[entries[keep]], cols[keep], kept[offsets]), shape=(len(rows), len(rows)))
+    return _Field(rows, sub, n)
+
+
+def _receptive_field(network: RoadNetwork, cfg: ModelConfig, routes: list[Route]) -> tuple[_Field, _Field]:
+    """Edge and node fields of a batch: the rows within gcn_layers * hops hops of
+    the routes' edges (line graph) and interior nodes (node graph)."""
+    radius = cfg.gcn_layers * cfg.hops
+    edges = [pos for route in routes for pos in route.edge_positions()]
+    nodes = [pos for route in routes for pos in route.node_positions()]
+    return (
+        _side_field(network.laplacian_edges, network.edge_neighbors, edges, radius),
+        _side_field(network.laplacian_nodes, network.node_neighbors, nodes, radius),
+    )
+
+
+def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str, rows=slice(None)):
+    """Initial representations of one side's rows ("e" or "v"; all rows by
+    default): summed slot lookups + identity rows + projected standardized
+    numeric features; also returns the standardized features."""
     v = params.values
     if side == "e":
         cat, num = network.edge_categorical, network.edge_numeric
@@ -186,22 +278,24 @@ def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str):
     else:
         cat, num = network.node_categorical, network.node_numeric
         mean, std = params.node_num_mean, params.node_num_std
-    x = (num - mean) / std
+    x = (num[rows] - mean) / std
     h = x @ v[f"num_proj_{side}.w"] + v[f"num_proj_{side}.b"]
     for slot_idx in range(cat.shape[1]):
         table = v[f"embed_{side}.slot{slot_idx}"]
-        ids = cat[:, slot_idx]
+        ids = cat[rows, slot_idx]
         if ids.size and ids.max() >= table.shape[0]:
             raise IndexError(f"categorical value {ids.max()} outside vocabulary {table.shape[0]} for slot {slot_idx}")
         h = h + table[ids]
-    h = h + v[f"embed_{side}.identity"]
+    h = h + v[f"embed_{side}.identity"][rows]
     return h, x
 
 
 def _gcn_stack_forward(laplacian, h0: np.ndarray, params: BaseModelParams, side: str):
     """gcn_layers graph convolutions ReLU(sum_{c=0}^{hops} theta_c L^c h) W, with
     the powers of L applied iteratively (L^c is never materialized); also
-    returns the per-layer caches the backward pass reads."""
+    returns the per-layer caches the backward pass reads. On a field's
+    sub-Laplacian, rows near its border come out inexact; the field's radius
+    keeps them out of the rows a loss reads."""
     caches = []
     h = h0
     for layer in range(params.cfg.gcn_layers):
@@ -219,7 +313,11 @@ def _gcn_stack_forward(laplacian, h0: np.ndarray, params: BaseModelParams, side:
     return h, caches
 
 
-def _gcn_stack_backward(laplacian, caches, d_out: np.ndarray, grads: nn.GradSet, side: str) -> np.ndarray:
+def _gcn_stack_backward(field: _Field, caches, d_out: np.ndarray, grads: nn.GradSet, side: str) -> np.ndarray:
+    # np.sum's pairwise order depends on the array's length, so on a field
+    # theta's sums run over a zero-padded whole-side buffer: the same terms in
+    # the same positions as on the whole graph.
+    padded = None if field.whole else np.zeros((field.n_total, d_out.shape[1]))
     for layer in reversed(range(len(caches))):
         cache = caches[layer]
         grads[f"gcn_{side}.l{layer}.w"] += cache["activated"].T @ d_out
@@ -227,11 +325,17 @@ def _gcn_stack_backward(laplacian, caches, d_out: np.ndarray, grads: nn.GradSet,
         d_s = np.where(cache["mask"], d_act, 0.0)
         theta = cache["theta"]
         powers = cache["powers"]
-        grads[f"gcn_{side}.l{layer}.theta"] += np.array([float(np.sum(powers[c] * d_s)) for c in range(len(theta))])
+        d_theta = grads[f"gcn_{side}.l{layer}.theta"]
+        for c in range(len(theta)):
+            terms = powers[c] * d_s
+            if padded is not None:
+                padded[field.rows] = terms
+                terms = padded
+            d_theta[c] += float(np.sum(terms))
         d_h = theta[0] * d_s
         q = d_s
         for c in range(1, len(theta)):
-            q = laplacian @ q  # L symmetric, so L^T = L
+            q = field.laplacian @ q  # L symmetric, so L^T = L
             d_h = d_h + theta[c] * q
         d_out = d_h
     return d_out
@@ -240,10 +344,11 @@ def _gcn_stack_backward(laplacian, caches, d_out: np.ndarray, grads: nn.GradSet,
 def _temporal_code(ctx: TimeContext, cfg: ModelConfig, holiday_table: np.ndarray) -> np.ndarray:
     """(K, 7+K+holiday_dim) raw codes: row k is the context rendered at slot k."""
     k = cfg.time_slots
-    dow = np.zeros(DAYS_PER_WEEK)
-    dow[ctx.day_of_week] = 1.0
-    hol = holiday_table[1 if ctx.is_holiday else 0]
-    return np.concatenate([np.tile(dow, (k, 1)), np.eye(k), np.tile(hol, (k, 1))], axis=1)
+    code = np.zeros((k, DAYS_PER_WEEK + k + holiday_table.shape[1]))
+    code[:, ctx.day_of_week] = 1.0
+    np.fill_diagonal(code[:, DAYS_PER_WEEK : DAYS_PER_WEEK + k], 1.0)
+    code[:, DAYS_PER_WEEK + k :] = holiday_table[1 if ctx.is_holiday else 0]
+    return code
 
 
 def build_temporal_table(params: BaseModelParams, ctx: TimeContext) -> np.ndarray:
@@ -261,28 +366,34 @@ def temporal_attention(temporal_table: np.ndarray, ctx: TimeContext) -> np.ndarr
     return probs[ctx.slot].copy()
 
 
-def _heads_forward(network: RoadNetwork, params: BaseModelParams):
+def _heads_forward(network: RoadNetwork, params: BaseModelParams, fields: tuple[_Field, _Field]):
     v = params.values
-    he0, xe = _embed_side(network, params, "e")
-    hv0, xv = _embed_side(network, params, "v")
-    he, caches_e = _gcn_stack_forward(network.laplacian_edges, he0, params, "e")
-    hv, caches_v = _gcn_stack_forward(network.laplacian_nodes, hv0, params, "v")
-    ue = he @ v["head_e.w"] + v["head_e.b"][:, None]
-    uv = hv @ v["head_v.w"] + v["head_v.b"][:, None]
+    field_e, field_v = fields
+    he0, xe = _embed_side(network, params, "e", field_e.rows)
+    hv0, xv = _embed_side(network, params, "v", field_v.rows)
+    he, caches_e = _gcn_stack_forward(field_e.laplacian, he0, params, "e")
+    hv, caches_v = _gcn_stack_forward(field_v.laplacian, hv0, params, "v")
+    ue = he @ v["head_e.w"] + v["head_e.b"][field_e.rows, None]
+    uv = hv @ v["head_v.w"] + v["head_v.b"][field_v.rows, None]
     return {"xe": xe, "xv": xv, "he": he, "hv": hv, "ue": ue, "uv": uv, "caches_e": caches_e, "caches_v": caches_v}
 
 
-def traffic_state(network: RoadNetwork, params: BaseModelParams, ctx: TimeContext) -> TrafficState:
-    """Estimated travel-time vectors for every edge and node at ctx."""
-    fw = _heads_forward(network, params)
-    a = temporal_attention(build_temporal_table(params, ctx), ctx)
+def traffic_state(network: RoadNetwork, params: BaseModelParams, ctxs: list[TimeContext]) -> dict[TimeContext, TrafficState]:
+    """Estimated travel-time vectors for every edge and node, one state per
+    distinct context of ctxs. The heads do not depend on the context, so one
+    whole-graph forward pass serves every context."""
+    fw = _heads_forward(network, params, _whole_graph(network))
     scale = params.cfg.output_scale
-    return TrafficState(
-        slot=ctx.slot,
-        n_slots=params.cfg.time_slots,
-        y_edges=scale * (fw["ue"] @ a),
-        y_nodes=scale * (fw["uv"] @ a),
-    )
+    states = {}
+    for ctx in dict.fromkeys(ctxs):
+        a = temporal_attention(build_temporal_table(params, ctx), ctx)
+        states[ctx] = TrafficState(
+            slot=ctx.slot,
+            n_slots=params.cfg.time_slots,
+            y_edges=scale * (fw["ue"] @ a),
+            y_nodes=scale * (fw["uv"] @ a),
+        )
+    return states
 
 
 def predict_route(state: TrafficState, route: Route, strict: bool = True) -> float:
@@ -314,6 +425,9 @@ def base_loss(
 ) -> tuple[float, nn.GradSet]:
     """Sum of squared route errors and gradients over every base tensor.
 
+    Forward and backward run on the batch's receptive field only; the loss and
+    every gradient equal those of the whole-graph pass byte for byte, and the
+    rows of edge- and node-indexed gradients outside the field are +0.0.
     Routes are grouped by time context; embeddings, graph convolutions, and
     heads are shared across the batch, so one backward pass serves all groups.
     """
@@ -322,7 +436,9 @@ def base_loss(
     cfg = params.cfg
     v = params.values
     scale = cfg.output_scale
-    fw = _heads_forward(network, params)
+    fields = _receptive_field(network, cfg, [route for route, _ in batch])
+    field_e, field_v = fields
+    fw = _heads_forward(network, params, fields)
     ue, uv = fw["ue"], fw["uv"]
     grads = nn.zeros_like_params(v)
 
@@ -331,28 +447,28 @@ def base_loss(
         ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays)
         groups.setdefault(ctx, []).append((route, y))
 
-    due = np.zeros_like(ue)
-    duv = np.zeros_like(uv)
+    due = np.zeros(ue.shape)
+    duv = np.zeros(uv.shape)
     loss = 0.0
     for ctx in sorted(groups, key=TimeContext.sort_key):
         code = _temporal_code(ctx, cfg, v["temporal.holiday"])
         table = code @ v["temporal.w"] + v["temporal.b"]
         probs = nn.softmax(table, axis=0)
         attn = probs[ctx.slot]
-        w_edges = np.zeros(network.n_edges)
-        w_nodes = np.zeros(network.n_nodes)
-        d_attn = np.zeros_like(attn)
+        w_edges = np.zeros(len(ue))
+        w_nodes = np.zeros(len(uv))
+        d_attn = np.zeros(attn.shape)
         for route, y in groups[ctx]:
-            e_pos = route.edge_positions()
-            n_pos = route.node_positions()
+            e_pos = field_e.local(route.edge_positions())
+            n_pos = field_v.local(route.node_positions())
             srow = ue[e_pos].sum(axis=0)
-            if n_pos:
+            if len(n_pos):
                 srow = srow + uv[n_pos].sum(axis=0)
             err = scale * float(srow @ attn) - y
             loss += err * err
             g = 2.0 * err
             np.add.at(w_edges, e_pos, g)
-            if n_pos:
+            if len(n_pos):
                 np.add.at(w_nodes, n_pos, g)
             d_attn += g * scale * srow
         due += scale * np.outer(w_edges, attn)
@@ -367,18 +483,18 @@ def base_loss(
         hol_block = DAYS_PER_WEEK + cfg.time_slots
         grads["temporal.holiday"][1 if ctx.is_holiday else 0] += d_code[:, hol_block:].sum(axis=0)
 
-    for side, du, h_top, caches, laplacian, cat, x_std in (
-        ("e", due, fw["he"], fw["caches_e"], network.laplacian_edges, network.edge_categorical, fw["xe"]),
-        ("v", duv, fw["hv"], fw["caches_v"], network.laplacian_nodes, network.node_categorical, fw["xv"]),
+    for side, du, h_top, caches, field, cat, x_std in (
+        ("e", due, fw["he"], fw["caches_e"], field_e, network.edge_categorical, fw["xe"]),
+        ("v", duv, fw["hv"], fw["caches_v"], field_v, network.node_categorical, fw["xv"]),
     ):
         grads[f"head_{side}.w"] += h_top.T @ du
-        grads[f"head_{side}.b"] += du.sum(axis=1)
+        grads[f"head_{side}.b"][field.rows] += du.sum(axis=1)
         d_h = du @ v[f"head_{side}.w"].T
-        d_h0 = _gcn_stack_backward(laplacian, caches, d_h, grads, side)
-        grads[f"embed_{side}.identity"] += d_h0
+        d_h0 = _gcn_stack_backward(field, caches, d_h, grads, side)
+        grads[f"embed_{side}.identity"][field.rows] += d_h0
         for slot_idx in range(cat.shape[1]):
             table = v[f"embed_{side}.slot{slot_idx}"]
-            grads[f"embed_{side}.slot{slot_idx}"] += nn.embedding_scatter(table.shape, cat[:, slot_idx], d_h0)
+            grads[f"embed_{side}.slot{slot_idx}"] += nn.embedding_scatter(table.shape, cat[field.rows, slot_idx], d_h0)
         grads[f"num_proj_{side}.w"] += x_std.T @ d_h0
         grads[f"num_proj_{side}.b"] += d_h0.sum(axis=0)
     return loss, grads

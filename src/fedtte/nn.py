@@ -77,7 +77,8 @@ def clone_params(params: ParamSet) -> ParamSet:
 
 
 def zeros_like_params(params: ParamSet) -> GradSet:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    # np.zeros is several times cheaper per call than np.zeros_like.
+    return {k: np.zeros(v.shape, dtype=v.dtype) for k, v in params.items()}
 
 
 def serialize_params(params: ParamSet) -> bytes:
@@ -152,11 +153,12 @@ def params_digest(params: ParamSet) -> str:
 def embedding_scatter(shape: tuple[int, ...], ids: Iterable[int], grad_rows: np.ndarray) -> np.ndarray:
     """Gradient of the row gather table[ids]: accumulate grad_rows into an
     all-zero table of the given shape at the looked-up ids (duplicates
-    accumulate)."""
-    out = np.zeros(shape, dtype=np.float64)
+    accumulate, in the order of ids)."""
     idx = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
-    np.add.at(out, idx, grad_rows)
-    return out
+    rows, dim = shape
+    # bincount adds each weight into a +0.0 start in input order, as np.add.at does.
+    flat = np.bincount((idx[:, None] * dim + np.arange(dim)).ravel(), weights=grad_rows.ravel(), minlength=rows * dim)
+    return flat.reshape(shape)
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:

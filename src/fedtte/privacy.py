@@ -125,21 +125,24 @@ def risk_eval(
     k: int = 10,
     seed: int = 0,
     start_values: nn.ParamSet | None = None,
+    schedule=None,
+    holidays: frozenset = frozenset(),
 ) -> list[AttackReport]:
     """Train one day at one epsilon and attack every upload of its first rounds.
 
     Runs the training round step (federated.train_round) over the day's
-    instants until `rounds` rounds have trained, and attacks each upload it
-    returns against the global model delivered before the round. Skipped
-    instants advance the round index exactly as in training. start_values,
-    when given, seeds the server with a previously trained checkpoint
-    instead of a fresh initialization.
+    instants of `schedule` (the default schedule when None) until `rounds`
+    rounds have trained, and attacks each upload it returns against the
+    global model delivered before the round. Skipped instants advance the
+    round index exactly as in training. start_values, when given, seeds the
+    server with a previously trained checkpoint instead of a fresh
+    initialization.
     """
     from . import federated as fed  # runtime import: federated depends on this module
 
     cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
     pool = fed.build_clients(world, days=1)
-    server = fed.init_server(world.network, model_cfg, cfg)
+    server = fed.init_server(world.network, model_cfg, cfg, schedule)
     if start_values is not None:
         nn.assert_congruent(server.global_params.values, start_values)
         server.global_params = server.global_params.with_values(nn.clone_params(start_values))
@@ -150,7 +153,7 @@ def risk_eval(
             break
         window = (instant.start, instant.end)
         global_prev = server.global_params.values  # train_round replaces it, never writes into it
-        uploads = fed.train_round(server, pool, window, cfg)
+        uploads = fed.train_round(server, pool, window, cfg, holidays)
         for client, _, upload in uploads:
             truth = frozenset(pos for t in client.in_window(*window) for pos in t.route.edge_positions())
             revealed = difference_attack(global_prev, upload, k)
@@ -172,6 +175,8 @@ def risk_sweep(
     k: int = 10,
     seeds=range(20),
     start_values: nn.ParamSet | None = None,
+    schedule=None,
+    holidays: frozenset = frozenset(),
 ) -> tuple[dict[float, float], list[dict]]:
     """Mean attack risk per epsilon over clients and seeds, plus CSV rows:
     one per attacked upload, then an "all" row with the epsilon's mean."""
@@ -181,7 +186,8 @@ def risk_sweep(
         risks = []
         for seed in seeds:
             for report in risk_eval(
-                world, eps, fed_config=fed_config, model_cfg=model_cfg, rounds=rounds, k=k, seed=seed, start_values=start_values
+                world, eps, fed_config=fed_config, model_cfg=model_cfg, rounds=rounds, k=k, seed=seed,
+                start_values=start_values, schedule=schedule, holidays=holidays,
             ):
                 rows.append(
                     {"epsilon": _fmt_eps(eps), "seed": str(seed), "client_id": report.client_id, "k": str(k), "risk": repr(report.risk)}

@@ -174,3 +174,31 @@ def test_no_subcommand_exits_nonzero(capsys):
 def test_generate_requires_out(capsys):
     assert cli.main(["generate"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bands", ["0-0:24", "0-12:6, 12-0:12"])
+def test_attack_reads_the_uploads_training_makes_under_the_configured_schedule(tmp_path, monkeypatch, bands):
+    # "0-0:24" has one instant a day, at midnight, so day 0 trains nothing;
+    # "0-12:6, 12-0:12" trains at 06:00 and 12:00. The attack must replay
+    # exactly those rounds, not the default schedule's.
+    from fedtte import federated
+
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("rounds = 1", "rounds = 3") + f"\n[schedule]\nbands = {bands}\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out", str(out), "--epsilon", "1"]) == 0
+    records = [json.loads(line) for line in (out / "round_log.jsonl").read_text().splitlines()]
+    trained = [client["digest"] for record in records if not record["skipped"] for client in record["clients"]]
+
+    attacked = []
+    client_update = federated.client_update
+
+    def recording_update(*args, **kwargs):
+        upload, n_m = client_update(*args, **kwargs)
+        attacked.append(nn.params_digest(upload))
+        return upload, n_m
+
+    monkeypatch.setattr(federated, "client_update", recording_update)
+    assert cli.main(["attack", "--config", str(path), "--epsilon", "1"]) == 0
+    assert attacked == trained
+    assert bool(trained) == (bands != "0-0:24")

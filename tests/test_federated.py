@@ -178,6 +178,28 @@ def test_client_update_single_trajectory_matches_hand_step(tiny_cfg):
         assert np.array_equal(upload[name], expected[name]), name
 
 
+def test_client_update_trains_on_the_holiday_context(tiny_cfg):
+    # a holiday changes the temporal code (its effect cancels in the softmax
+    # up to rounding), so the step must be the one base_loss takes with the
+    # holidays, and it differs from the step without them
+    world = _one_client_world()
+    client = build_clients(world)[0]
+    client.trajectories = client.trajectories[:1]
+    rec = client.trajectories[0]
+    holidays = frozenset({rec.departure.date()})
+    global_params = model.init_base_params(world.network, tiny_cfg, seed=1)
+    lr = 1e-6
+    cfg = FederatedConfig(clients_per_round=1, local_epochs=1, base_lr=lr, dp_epsilon=math.inf)
+    upload, _ = client_update(client, global_params, cfg, _full_day(), holidays=holidays)
+
+    _, grads = model.base_loss(world.network, global_params, [(rec.route, rec.y)], holidays)
+    expected = nn.sgd_step(global_params.values, grads, lr)
+    for name in expected:
+        assert np.array_equal(upload[name], expected[name]), name
+    plain, _ = client_update(client, global_params, cfg, _full_day())
+    assert nn.params_digest(plain) != nn.params_digest(upload)
+
+
 def test_client_update_empty_window_rejected(tiny_cfg):
     world = _one_client_world()
     client = build_clients(world)[0]
@@ -402,7 +424,7 @@ def _prepared_client(world, tiny_cfg, residual=0.0, seed=0):
     for t in client.trajectories:
         ctx = model.TimeContext.from_datetime(t.departure, tiny_cfg.time_slots)
         if ctx not in states:
-            states[ctx] = model.traffic_state(world.network, client.localized_global, ctx)
+            states[ctx] = model.traffic_state(world.network, client.localized_global, [ctx])[ctx]
         y_hat = model.predict_route(states[ctx], t.route)
         shifted.append(replace(t, y=y_hat + residual))
     client.trajectories = shifted
@@ -467,7 +489,7 @@ def _pool_with_personal_models(world, tiny_cfg, counts):
         shifted = []
         for k, t in enumerate(client.trajectories[: counts[i]]):
             ctx = model.TimeContext.from_datetime(t.departure, tiny_cfg.time_slots)
-            state = model.traffic_state(world.network, client.localized_global, ctx)
+            state = model.traffic_state(world.network, client.localized_global, [ctx])[ctx]
             shifted.append(replace(t, y=model.predict_route(state, t.route) + 3.0 * (k % 3) + i))
         client.trajectories = shifted
     return pool
@@ -480,7 +502,7 @@ def _reference_fine_tune(client, cfg):
     for traj in sorted(client.trajectories, key=lambda t: (t.departure, t.y)):
         ctx = model.TimeContext.from_datetime(traj.departure, client.localized_global.cfg.time_slots)
         if ctx not in states:
-            states[ctx] = model.traffic_state(client.network, client.localized_global, ctx)
+            states[ctx] = model.traffic_state(client.network, client.localized_global, [ctx])[ctx]
         pairs.append((traj.y, model.predict_route(states[ctx], traj.route)))
     prof, v = client.profile, nn.clone_params(client.personal.values)
     regions, edges = list(prof.top_regions), list(prof.top_edges)

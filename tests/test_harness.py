@@ -4,6 +4,7 @@ end-to-end experiment loop with its artifacts."""
 import json
 import math
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from fedtte.harness import (
     write_world,
 )
 from fedtte.model import TrafficState
+
+from conftest import NUMERIC_FIELD_TEXT
 
 
 # ---------------------------------------------------------------- metrics
@@ -212,6 +215,65 @@ def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text("[surprise]\nx = 1\n")
     with pytest.raises(ValueError):
+        load_config(path)
+
+
+def _settings_of(cls):
+    return sorted(get_type_hints(cls))
+
+
+CONFIG_SETTINGS = (
+    [("world", key) for key in _settings_of(data.WorldSpec)]
+    + [("model", key) for key in _settings_of(model.ModelConfig)]
+    + [("federated", key) for key in _settings_of(FederatedConfig)]
+    + [("experiment", key) for key in ("days", "eval_days", "max_rounds", "out")]
+    + [("schedule", "bands"), ("attack", "epsilons"), ("attack", "k"), ("attack", "rounds"), ("attack", "seeds")]
+    + [("world", "no_such_key"), ("schedule", "no_such_key")]
+)
+SETTING_TEXT = st.one_of(
+    NUMERIC_FIELD_TEXT,
+    st.sampled_from(["0-24:inf", "0-24:nan", "0-0:24", "0-24:48", "0-24:5e-324", "23-7:4, 7-23:2", "inf, 1", "flat", "50%", "%(x)s"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_SETTINGS), SETTING_TEXT), min_size=1, max_size=3, unique_by=lambda s: s[0]))
+def test_load_config_returns_a_config_or_names_section_and_key(tmp_path_factory, settings_text):
+    sections: dict = {}
+    for (section, key), text in settings_text:
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    path = tmp_path_factory.mktemp("ini") / "exp.ini"
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()), encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert any(
+            message.startswith(f"[{section}] {key}: ") or message == f"[{section}] has no setting named {key!r}"
+            for (section, key), _ in settings_text
+        ), message
+    else:
+        assert isinstance(cfg, ExperimentConfig)
+
+
+@pytest.mark.parametrize(
+    "section, setting",
+    [
+        ("federated", "dp_clip = nan"),
+        ("federated", "base_lr = nan"),
+        ("world", "bias_spread_s = nan"),
+        ("schedule", "bands = 0-24:inf"),
+        ("schedule", "bands = 0-24:nan"),
+        ("schedule", "bands = 0-24:48"),
+        ("experiment", "days = x"),
+        ("attack", "epsilons = inf, nan"),
+    ],
+)
+def test_load_config_rejects_value_naming_section_and_key(tmp_path, section, setting):
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[{section}]\n{setting}\n")
+    key = setting.split(" = ")[0]
+    with pytest.raises(ValueError, match=rf"^\[{section}\] {key}: "):
         load_config(path)
 
 

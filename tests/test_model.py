@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import graph, model, nn
+from fedtte import data, graph, model, nn
 from fedtte.graph import Route
 from fedtte.model import ModelConfig, TimeContext, TrafficState
 
@@ -139,7 +139,7 @@ def test_traffic_state_zero_heads_zero_output(tiny_world, tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=0)
     zero_all(params, ["head_e.w", "head_e.b", "head_v.w", "head_v.b"])
     ctx = TimeContext(day_of_week=0, slot=0, is_holiday=False)
-    state = model.traffic_state(net, params, ctx)
+    state = model.traffic_state(net, params, [ctx])[ctx]
     assert np.array_equal(state.y_edges, np.zeros(net.n_edges))
     assert np.array_equal(state.y_nodes, np.zeros(net.n_nodes))
 
@@ -153,7 +153,7 @@ def test_traffic_state_uniform_attention_counts_components(tiny_world, tiny_cfg)
     params.values["head_e.b"] = np.ones(net.n_edges)
     params.values["head_v.b"] = np.ones(net.n_nodes)
     ctx = TimeContext(day_of_week=3, slot=1, is_holiday=False)
-    state = model.traffic_state(net, params, ctx)
+    state = model.traffic_state(net, params, [ctx])[ctx]
     assert np.allclose(state.y_edges, 1.0, atol=1e-12)
     assert np.allclose(state.y_nodes, 1.0, atol=1e-12)
 
@@ -162,7 +162,7 @@ def test_traffic_state_edge_permutation_equivariant(tiny_world, tiny_cfg):
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=5)
     ctx = TimeContext(day_of_week=0, slot=2, is_holiday=False)
-    y1 = model.traffic_state(net, params, ctx).y_edges
+    y1 = model.traffic_state(net, params, [ctx])[ctx].y_edges
 
     perm = np.random.default_rng(0).permutation(net.n_edges)
     net2 = graph.build_network(net.nodes, [net.edges[p] for p in perm],
@@ -170,7 +170,7 @@ def test_traffic_state_edge_permutation_equivariant(tiny_world, tiny_cfg):
     params2 = params.clone()
     params2.values["embed_e.identity"] = params.values["embed_e.identity"][perm]
     params2.values["head_e.b"] = params.values["head_e.b"][perm]
-    y2 = model.traffic_state(net2, params2, ctx).y_edges
+    y2 = model.traffic_state(net2, params2, [ctx])[ctx].y_edges
     assert np.allclose(y2, y1[perm], atol=1e-9)
 
 
@@ -189,8 +189,8 @@ def test_traffic_state_ctx_enters_only_through_attention(tiny_world, tiny_cfg):
         model.temporal_attention(model.build_temporal_table(params, ctx_a), ctx_a),
         model.temporal_attention(model.build_temporal_table(params, ctx_b), ctx_b),
     )
-    sa = model.traffic_state(net, params, ctx_a)
-    sb = model.traffic_state(net, params, ctx_b)
+    sa = model.traffic_state(net, params, [ctx_a])[ctx_a]
+    sb = model.traffic_state(net, params, [ctx_b])[ctx_b]
     assert np.array_equal(sa.y_edges, sb.y_edges)
     assert np.array_equal(sa.y_nodes, sb.y_nodes)
 
@@ -268,7 +268,7 @@ def test_base_loss_perfect_prediction_zero_gradients(tiny_world, tiny_cfg):
     params.values["head_v.b"] = np.full(net.n_nodes, 2.0)
     (route, _), = _world_batch(tiny_world, 1)
     ctx = TimeContext.from_datetime(route.departure_time, tiny_cfg.time_slots)
-    y = model.predict_route(model.traffic_state(net, params, ctx), route)
+    y = model.predict_route(model.traffic_state(net, params, [ctx])[ctx], route)
     loss, grads = model.base_loss(net, params, [(route, y)])
     assert loss == 0.0
     for name, g in grads.items():
@@ -282,7 +282,7 @@ def test_base_loss_near_zero_at_served_targets(tiny_world, tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=3)
     ctx_of = lambda r: TimeContext.from_datetime(r.departure_time, tiny_cfg.time_slots)
     batch = [
-        (r, model.predict_route(model.traffic_state(net, params, ctx_of(r)), r))
+        (r, model.predict_route(model.traffic_state(net, params, [ctx_of(r)])[ctx_of(r)], r))
         for r, _ in _world_batch(tiny_world, 2)
     ]
     loss, grads = model.base_loss(net, params, batch)
@@ -319,6 +319,103 @@ def test_base_loss_finite_difference(tiny_world, tiny_cfg):
 
     err = nn.check_gradients(fn, base.values, None, eps=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------- receptive field
+# base_loss runs on the batch's receptive field; these tests certify it against
+# the same base_loss with the field forced to the whole graph.
+
+_GRID_CFG = ModelConfig(embed_dim=4, head_width=4, time_slots=8, holiday_dim=2, output_scale=10.0)
+
+
+def _grid_world(rows, cols):
+    return data.generate_world(data.WorldSpec(
+        grid_rows=rows, grid_cols=cols, n_drivers=6, trips_per_day=4, time_slots=8, seed=rows * 100 + cols,
+    ))
+
+
+GRID_10 = _grid_world(10, 10)
+GRID_10_ROUTES = [t.route for t in data.sample_trajectories(GRID_10, 0)]
+
+
+def _whole_graph_loss(net, params, batch, holidays=frozenset()):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_receptive_field", lambda network, cfg, routes: model._whole_graph(network))
+        return model.base_loss(net, params, batch, holidays)
+
+
+@st.composite
+def _batches(draw):
+    net = GRID_10.network
+    shared = draw(st.booleans())
+    routes = []
+    for _ in range(draw(st.integers(1, 3))):
+        departure = MIDNIGHT.replace(hour=8) if shared else MIDNIGHT.replace(hour=draw(st.integers(0, 23)))
+        if draw(st.booleans()):
+            routes.append(route_of([("e", draw(st.integers(0, net.n_edges - 1)))], departure=departure))
+        else:
+            steps = draw(st.sampled_from(GRID_10_ROUTES)).steps
+            routes.append(Route(steps=steps, departure_time=departure, driver_id="d0"))
+    targets = draw(st.lists(st.floats(0.0, 2000.0), min_size=len(routes), max_size=len(routes)))
+    return list(zip(routes, targets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_batches(), seed=st.integers(0, 3), holiday=st.booleans())
+def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(batch, seed, holiday):
+    net = GRID_10.network
+    params = model.init_base_params(net, _GRID_CFG, seed)
+    holidays = frozenset({MIDNIGHT.date()}) if holiday else frozenset()
+    loss, grads = model.base_loss(net, params, batch, holidays)
+    whole_loss, whole_grads = _whole_graph_loss(net, params, batch, holidays)
+    assert loss == whole_loss
+    assert sorted(grads) == sorted(whole_grads)
+    for name in grads:
+        assert grads[name].tobytes() == whole_grads[name].tobytes(), name
+
+
+def test_receptive_field_is_a_strict_subset_on_a_grid():
+    net = GRID_10.network
+    field_e, field_v = model._receptive_field(net, _GRID_CFG, GRID_10_ROUTES[:1])
+    assert not field_e.whole and 0 < len(field_e.rows) < net.n_edges / 2
+    assert not field_v.whole and len(field_v.rows) < net.n_nodes / 2
+    # a single-edge route reads no node, so its node field is empty
+    _, empty = model._receptive_field(net, _GRID_CFG, [route_of([("e", 0)])])
+    assert not empty.whole and len(empty.rows) == 0
+
+
+def _two_edge_route(world):
+    route = next(t.route for t in data.sample_trajectories(world, 0) if len(t.route.steps) >= 3)
+    return Route(steps=route.steps[:3], departure_time=MIDNIGHT.replace(hour=8), driver_id="d0")
+
+
+def test_base_loss_on_the_field_finite_difference(tiny_cfg):
+    world = _grid_world(6, 6)
+    net = world.network
+    route = _two_edge_route(world)
+    field_e, field_v = model._receptive_field(net, tiny_cfg, [route])
+    assert not field_e.whole and not field_v.whole
+    base = model.init_base_params(net, tiny_cfg, seed=8)
+    batch = [(route, 30.0)]
+
+    def fn(values, _):
+        return model.base_loss(net, base.with_values(values), batch)
+
+    assert nn.check_gradients(fn, base.values, None, eps=1e-5) < 1e-4
+
+
+def test_base_loss_gradient_rows_outside_the_field_are_positive_zero():
+    net = GRID_10.network
+    params = model.init_base_params(net, _GRID_CFG, seed=2)
+    route = GRID_10_ROUTES[0]
+    field_e, _ = model._receptive_field(net, _GRID_CFG, [route])
+    _, grads = model.base_loss(net, params, [(route, 500.0)])
+    outside = np.setdiff1d(np.arange(net.n_edges), field_e.rows)
+    assert outside.size
+    for name in ("embed_e.identity", "head_e.b"):
+        rows = grads[name][outside]
+        assert np.all(rows == 0.0) and not np.any(np.signbit(rows)), name
+    assert np.any(grads["embed_e.identity"][field_e.rows] != 0.0)
 
 
 # ---------------------------------------------------------------- personal model

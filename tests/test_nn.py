@@ -93,6 +93,23 @@ def test_embedding_scatter_accumulates_duplicates():
     assert np.array_equal(grad[1:], np.zeros((2, 2)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    ids=st.lists(st.integers(0, 5), max_size=12),
+    data=st.data(),
+)
+def test_embedding_scatter_matches_add_at(rows, dim, ids, data):
+    # duplicates accumulate in input order and -0.0 rows behave as np.add.at's do
+    ids = np.array([i % rows for i in ids], dtype=np.int64)
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, 5e-324]), st.floats(-1e6, 1e6))
+    grad_rows = np.array(data.draw(st.lists(values, min_size=len(ids) * dim, max_size=len(ids) * dim))).reshape(len(ids), dim)
+    reference = np.zeros((rows, dim))
+    np.add.at(reference, ids, grad_rows)
+    assert nn.embedding_scatter((rows, dim), ids, grad_rows).tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------- softmax
 
 def test_softmax_two_equal_logits():
@@ -253,6 +270,28 @@ def test_deserialize_rejects_every_truncation(tiny_world, tiny_cfg):
         with pytest.raises(ValueError):
             nn.deserialize_params(blob[:size])
     assert nn.serialize_params(nn.deserialize_params(blob)) == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_deserialize_mutated_blob_raises_only_value_error(tiny_world, tiny_cfg, data):
+    params = model.init_base_params(tiny_world.network, tiny_cfg, seed=0).values
+    blob = bytearray(nn.serialize_params(params))
+    # offsets of the header bytes (magic, version, count, and per tensor its
+    # name length, name, rank and dims), where a mutation changes the structure
+    header, pos = list(range(12)), 12
+    for name in sorted(params):
+        size = 4 + len(name.encode()) + 4 + 4 * params[name].ndim
+        header.extend(range(pos, pos + size))
+        pos += size + 8 * params[name].size
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.one_of(st.sampled_from(header), st.integers(0, len(blob) - 1)))
+        blob[pos] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    try:
+        nn.deserialize_params(bytes(blob[:cut]))
+    except ValueError:
+        pass
 
 
 def test_digest_tracks_content():

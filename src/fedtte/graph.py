@@ -26,7 +26,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,27 +131,6 @@ class RoadNetwork:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def node_neighbors(self) -> list[tuple[int, ...]]:
-        """Per node position, the positions its Laplacian row reads."""
-        return _stored_columns(self.laplacian_nodes)
-
-    @cached_property
-    def edge_neighbors(self) -> list[tuple[int, ...]]:
-        """Per edge position, the positions its line-graph Laplacian row reads."""
-        return _stored_columns(self.laplacian_edges)
-
-
-def _stored_columns(matrix: sp.csr_matrix) -> list[tuple[int, ...]]:
-    """Column positions stored in each row of a CSR matrix. Every tuple refers
-    to one shared int object per position, and gathering through an object
-    array creates no int per stored entry, which keeps the lists small."""
-    positions = np.empty(matrix.shape[1], dtype=object)
-    positions[:] = range(matrix.shape[1])
-    cols = positions[matrix.indices].tolist()
-    bounds = matrix.indptr.tolist()
-    return [tuple(cols[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:

@@ -155,7 +155,8 @@ class ExperimentConfig:
             raise ValueError("max_rounds must be >= 1 when set")
 
 
-_SECTION_CLASSES = {"world": WorldSpec, "model": ModelConfig, "federated": FederatedConfig}
+_SECTION_CLASSES = {"world": WorldSpec, "model": ModelConfig, "federated": FederatedConfig, "attack": AttackSettings}
+_EXPERIMENT_KEYS = {"days": "days", "eval_days": "eval_days", "max_rounds": "max_rounds", "out": "out_dir", "out_dir": "out_dir"}
 
 
 def _coerce(raw: str, typ: type) -> object:
@@ -166,12 +167,14 @@ def _coerce(raw: str, typ: type) -> object:
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if typ is int:
+    if typ in (int, int | None):
         return int(raw)
     if typ is float:
         return float(raw)
-    if typ is str:
+    if typ in (str, str | None):
         return raw.strip()
+    if typ == tuple[float, ...]:
+        return tuple(float(part.strip()) for part in raw.split(","))
     raise ValueError(f"config values of type {typ!r} are not supported")
 
 
@@ -185,20 +188,40 @@ def _section_items(parser: configparser.ConfigParser, name: str):
         yield key, raw
 
 
-def _parse_section(parser: configparser.ConfigParser, name: str, cls: type) -> object:
-    """The section's dataclass, validated one key at a time so that an error
-    names the first key whose value the dataclass rejects."""
+def _parse_section(parser: configparser.ConfigParser, name: str, cls: type, keys: dict[str, str] | None = None) -> object:
+    """The section's dataclass, built once from all of its keys (`keys` maps
+    the accepted keys to field names; by default every field is a key).
+
+    A value that does not parse names its key. If the class rejects the values,
+    the error names the first key of a smallest set of them that it still
+    rejects with the other fields at their defaults, so a check that compares
+    two fields holds whatever order the keys are written in.
+    """
     hints = get_type_hints(cls)
-    kwargs = {}
+    keys = keys or {field: field for field in hints}
+    kwargs: dict = {}
+    key_of: dict[str, str] = {}
     for key, raw in _section_items(parser, name):
-        if key not in hints:
+        if key not in keys:
             raise ValueError(f"[{name}] has no setting named {key!r}")
+        field = keys[key]
         try:
-            kwargs[key] = _coerce(raw, hints[key])
-            cls(**kwargs)
+            kwargs[field] = _coerce(raw, hints[field])
         except ValueError as exc:
             raise ValueError(f"[{name}] {key}: {exc}") from exc
-    return cls(**kwargs)
+        key_of[field] = key
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        error = exc
+    rejected = kwargs
+    for field in reversed(kwargs):
+        rest = {f: value for f, value in rejected.items() if f != field}
+        try:
+            cls(**rest)
+        except ValueError as exc:
+            rejected, error = rest, exc
+    raise ValueError(f"[{name}] {key_of[next(iter(rejected))]}: {error}") from error
 
 
 def parse_bands(text: str) -> AggregationSchedule:
@@ -214,19 +237,6 @@ def parse_bands(text: str) -> AggregationSchedule:
     return AggregationSchedule(bands=tuple(bands))
 
 
-def _parse_attack(parser: configparser.ConfigParser) -> AttackSettings:
-    kwargs: dict = {}
-    for key, raw in _section_items(parser, "attack"):
-        if key not in ("epsilons", "k", "rounds", "seeds"):
-            raise ValueError(f"[attack] has no setting named {key!r}")
-        try:
-            kwargs[key] = tuple(float(p.strip()) for p in raw.split(",")) if key == "epsilons" else int(raw)
-            AttackSettings(**kwargs)
-        except ValueError as exc:
-            raise ValueError(f"[attack] {key}: {exc}") from exc
-    return AttackSettings(**kwargs)
-
-
 def load_config(source) -> ExperimentConfig:
     """Read a flat INI config ([world]/[model]/[federated]/[experiment]/[schedule]/[attack]).
 
@@ -235,7 +245,7 @@ def load_config(source) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(source, encoding="utf-8") as fh:
         parser.read_file(fh)
-    known = set(_SECTION_CLASSES) | {"experiment", "schedule", "attack"}
+    known = set(_SECTION_CLASSES) | {"experiment", "schedule"}
     for section in parser.sections():
         if section not in known:
             raise ValueError(f"unknown config section [{section}]")
@@ -243,18 +253,6 @@ def load_config(source) -> ExperimentConfig:
     for name, cls in _SECTION_CLASSES.items():
         if parser.has_section(name):
             kwargs[name] = _parse_section(parser, name, cls)
-    if parser.has_section("experiment"):
-        for key, raw in _section_items(parser, "experiment"):
-            if key in ("out", "out_dir"):
-                kwargs["out_dir"] = raw.strip()
-                continue
-            if key not in ("days", "eval_days", "max_rounds"):
-                raise ValueError(f"[experiment] has no setting named {key!r}")
-            try:
-                kwargs[key] = int(raw)
-                ExperimentConfig(**{key: kwargs[key]})
-            except ValueError as exc:
-                raise ValueError(f"[experiment] {key}: {exc}") from exc
     if parser.has_section("schedule"):
         for key, raw in _section_items(parser, "schedule"):
             if key != "bands":
@@ -263,9 +261,10 @@ def load_config(source) -> ExperimentConfig:
                 kwargs["schedule"] = parse_bands(raw)
             except ValueError as exc:
                 raise ValueError(f"[schedule] bands: {exc}") from exc
-    if parser.has_section("attack"):
-        kwargs["attack"] = _parse_attack(parser)
-    return ExperimentConfig(**kwargs)
+    experiment = ExperimentConfig()
+    if parser.has_section("experiment"):
+        experiment = _parse_section(parser, "experiment", ExperimentConfig, _EXPERIMENT_KEYS)
+    return replace(experiment, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,14 @@ nodes within as many node-graph hops of their interior nodes, convolved with
 the sub-block of the global normalized Laplacian over those rows (not
 renormalized). Its loss and gradients equal the whole-graph pass byte for
 byte; a field over more than half of a side runs as the whole side. The
-served traffic state is one whole-graph forward pass shared by every context
-it is read at, since only the temporal attention depends on the context.
+weight gradients sum over the field's rows in BLAS matrix products, so this
+identity holds with a BLAS that adds a product's rows in sequence; it was
+measured with OpenBLAS 0.3.31, and a BLAS that splits the rows into blocks
+may differ from the whole-graph pass in the last bit.
+
+The served traffic state is one whole-graph forward pass shared by every
+context it is read at, since only the temporal attention depends on the
+context.
 
 The temporal attention vector comes from a K x I table whose row k encodes
 (day-of-week one-hot, slot-k one-hot, holiday embedding) through a linear
@@ -214,44 +220,41 @@ def _whole_graph(network: RoadNetwork) -> tuple[_Field, _Field]:
     )
 
 
-def _side_field(laplacian: sp.csr_matrix, neighbors: list[tuple[int, ...]], seeds: list[int], radius: int) -> _Field:
+def _side_field(laplacian: sp.csr_matrix, seeds: list[int], radius: int) -> _Field:
     """Exact field of a pass whose outputs are read at `seeds`: every row within
-    `radius` hops of them in the Laplacian's sparsity pattern (`neighbors`).
-    Row i of L @ h reads h only at i's stored entries, so a row at distance r
-    from the seeds is exact after radius - r propagation steps on the
-    sub-block."""
+    `radius` hops of them in the Laplacian's sparsity pattern. Row i of L @ h
+    reads h only at i's stored entries, so a row at distance r from the seeds
+    is exact after radius - r propagation steps on the sub-block."""
     n = laplacian.shape[0]
-    reached = set(seeds)
-    frontier = reached
-    hops = 0
-    while hops < radius and 2 * len(reached) <= n:
-        grown = set()
-        for i in frontier:
-            grown.update(neighbors[i])
-        frontier = grown - reached
-        reached |= frontier
-        hops += 1
+    row_sizes = np.diff(laplacian.indptr)
+    reached = np.zeros(n, dtype=bool)
+    reached[seeds] = True
+    for _ in range(radius):
+        if 2 * np.count_nonzero(reached) > n:
+            break
+        reached[laplacian.indices[np.repeat(reached, row_sizes)]] = True
     # A field over more than half the rows costs more to gather, scatter and
     # pad than the rows it saves (a 2-hop ball covers 32 of a 3x4 grid's 34
     # edges), so it runs as the whole graph. This depends on the input only.
-    if 2 * len(reached) > n:
+    if 2 * np.count_nonzero(reached) > n:
         return _Field(slice(None), laplacian, n)
-    rows = np.array(sorted(reached), dtype=np.int64)
     # The sub-block keeps each row's stored entries in their stored order, so
-    # L_sub @ h sums a row's terms in the order L @ h does.
+    # L_sub @ h sums a row's terms in the order L @ h does. It is cut from the
+    # CSR arrays directly: scipy's laplacian[rows][:, rows] gives the same
+    # matrix, but made the benchmark's stress run_s 7% slower (10 paired runs
+    # on a 2-vCPU host). Its index arrays keep the Laplacian's integer type, so
+    # scipy does not copy them into that type.
+    rows = np.flatnonzero(reached)
     index_dtype = laplacian.indices.dtype
-    local = np.full(n, -1, dtype=index_dtype)
-    local[rows] = np.arange(len(rows), dtype=index_dtype)
-    starts = laplacian.indptr[rows]
-    counts = laplacian.indptr[rows + 1] - starts
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-    cols = local[laplacian.indices[entries]]
-    keep = cols >= 0
-    kept = np.zeros(len(entries) + 1, dtype=index_dtype)
+    local = np.cumsum(reached, dtype=index_dtype) - 1
+    counts = row_sizes[rows]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    entries = np.repeat(laplacian.indptr[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+    cols = laplacian.indices[entries]
+    keep = reached[cols]
+    kept = np.zeros(len(cols) + 1, dtype=index_dtype)
     np.cumsum(keep, out=kept[1:])
-    sub = sp.csr_matrix((laplacian.data[entries[keep]], cols[keep], kept[offsets]), shape=(len(rows), len(rows)))
+    sub = sp.csr_matrix((laplacian.data[entries[keep]], local[cols[keep]], kept[offsets]), shape=(len(rows), len(rows)))
     return _Field(rows, sub, n)
 
 
@@ -262,8 +265,8 @@ def _receptive_field(network: RoadNetwork, cfg: ModelConfig, routes: list[Route]
     edges = [pos for route in routes for pos in route.edge_positions()]
     nodes = [pos for route in routes for pos in route.node_positions()]
     return (
-        _side_field(network.laplacian_edges, network.edge_neighbors, edges, radius),
-        _side_field(network.laplacian_nodes, network.node_neighbors, nodes, radius),
+        _side_field(network.laplacian_edges, edges, radius),
+        _side_field(network.laplacian_nodes, nodes, radius),
     )
 
 

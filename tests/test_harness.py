@@ -239,21 +239,27 @@ SETTING_TEXT = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(CONFIG_SETTINGS), SETTING_TEXT), min_size=1, max_size=3, unique_by=lambda s: s[0]))
 def test_load_config_returns_a_config_or_names_section_and_key(tmp_path_factory, settings_text):
-    sections: dict = {}
-    for (section, key), text in settings_text:
-        sections.setdefault(section, []).append(f"{key} = {text}")
-    path = tmp_path_factory.mktemp("ini") / "exp.ini"
-    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()), encoding="utf-8")
-    try:
-        cfg = load_config(path)
-    except ValueError as exc:
-        message = str(exc)
-        assert any(
-            message.startswith(f"[{section}] {key}: ") or message == f"[{section}] has no setting named {key!r}"
-            for (section, key), _ in settings_text
-        ), message
-    else:
-        assert isinstance(cfg, ExperimentConfig)
+    outcomes = []
+    for ordered in (settings_text, settings_text[::-1]):
+        sections: dict = {}
+        for (section, key), text in ordered:
+            sections.setdefault(section, []).append(f"{key} = {text}")
+        path = tmp_path_factory.mktemp("ini") / "exp.ini"
+        path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()), encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValueError as exc:
+            message = str(exc)
+            assert any(
+                message.startswith(f"[{section}] {key}: ") or message == f"[{section}] has no setting named {key!r}"
+                for (section, key), _ in settings_text
+            ), message
+            outcomes.append(ValueError)
+        else:
+            assert isinstance(cfg, ExperimentConfig)
+            outcomes.append(cfg)
+    # whether a config loads does not depend on the order of its keys
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
@@ -274,6 +280,40 @@ def test_load_config_rejects_value_naming_section_and_key(tmp_path, section, set
     path.write_text(f"[{section}]\n{setting}\n")
     key = setting.split(" = ")[0]
     with pytest.raises(ValueError, match=rf"^\[{section}\] {key}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, lines",
+    [
+        ("world", ["speed_min_kph = 80", "speed_max_kph = 100"]),
+        ("world", ["walk_min = 10", "walk_max = 12"]),
+    ],
+)
+def test_load_config_checks_a_pair_of_settings_together_in_either_order(tmp_path, section, lines):
+    for ordered in (lines, lines[::-1]):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[{section}]\n" + "\n".join(ordered) + "\n")
+        spec = load_config(path).world
+        for line in lines:
+            key, value = line.split(" = ")
+            assert getattr(spec, key) == int(value)
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["speed_min_kph = 80"], "speed_min_kph"),
+        (["speed_max_kph = 10", "speed_min_kph = 15"], "speed_max_kph"),
+        (["speed_min_kph = 15", "speed_max_kph = 10"], "speed_max_kph"),
+        (["speed_min_kph = 80", "speed_max_kph = 100", "obs_sigma_s = -1"], "obs_sigma_s"),
+        (["obs_sigma_s = -1", "bias_spread_s = -1"], "obs_sigma_s"),
+    ],
+)
+def test_load_config_names_a_key_the_check_rejects(tmp_path, lines, key):
+    path = tmp_path / "exp.ini"
+    path.write_text("[world]\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^\[world\] {key}: "):
         load_config(path)
 
 

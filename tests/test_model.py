@@ -3,6 +3,7 @@ analytic gradients against finite differences. The embedding and graph
 convolution tests drive the model's own forward helpers (_embed_side,
 _gcn_stack_forward)."""
 
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -326,6 +327,9 @@ def test_base_loss_finite_difference(tiny_world, tiny_cfg):
 # the same base_loss with the field forced to the whole graph.
 
 _GRID_CFG = ModelConfig(embed_dim=4, head_width=4, time_slots=8, holiday_dim=2, output_scale=10.0)
+# (gcn_layers, hops) pairs whose radius gcn_layers * hops is 2, 3 or 4: on the
+# 10x10 grid most of their fields are still strict subsets of the graph
+_FIELD_CFGS = [replace(_GRID_CFG, gcn_layers=layers, hops=hops) for layers, hops in ((1, 2), (2, 1), (1, 3), (2, 2))]
 
 
 def _grid_world(rows, cols):
@@ -360,11 +364,12 @@ def _batches(draw):
     return list(zip(routes, targets))
 
 
-@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("cfg", _FIELD_CFGS, ids=lambda c: f"layers{c.gcn_layers}-hops{c.hops}")
+@settings(max_examples=30, deadline=None)
 @given(batch=_batches(), seed=st.integers(0, 3), holiday=st.booleans())
-def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(batch, seed, holiday):
+def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed, holiday):
     net = GRID_10.network
-    params = model.init_base_params(net, _GRID_CFG, seed)
+    params = model.init_base_params(net, cfg, seed)
     holidays = frozenset({MIDNIGHT.date()}) if holiday else frozenset()
     loss, grads = model.base_loss(net, params, batch, holidays)
     whole_loss, whole_grads = _whole_graph_loss(net, params, batch, holidays)
@@ -374,11 +379,15 @@ def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(batch, seed, hol
         assert grads[name].tobytes() == whole_grads[name].tobytes(), name
 
 
-def test_receptive_field_is_a_strict_subset_on_a_grid():
+@pytest.mark.parametrize("cfg", _FIELD_CFGS, ids=lambda c: f"layers{c.gcn_layers}-hops{c.hops}")
+def test_receptive_field_is_a_strict_subset_on_a_grid(cfg):
     net = GRID_10.network
-    field_e, field_v = model._receptive_field(net, _GRID_CFG, GRID_10_ROUTES[:1])
+    field_e, field_v = model._receptive_field(net, cfg, GRID_10_ROUTES[:1])
     assert not field_e.whole and 0 < len(field_e.rows) < net.n_edges / 2
     assert not field_v.whole and len(field_v.rows) < net.n_nodes / 2
+    # the field grows with the radius gcn_layers * hops, not with hops alone
+    narrower, _ = model._receptive_field(net, replace(cfg, gcn_layers=1, hops=cfg.gcn_layers * cfg.hops - 1), GRID_10_ROUTES[:1])
+    assert len(narrower.rows) < len(field_e.rows)
     # a single-edge route reads no node, so its node field is empty
     _, empty = model._receptive_field(net, _GRID_CFG, [route_of([("e", 0)])])
     assert not empty.whole and len(empty.rows) == 0
@@ -402,6 +411,26 @@ def test_base_loss_on_the_field_finite_difference(tiny_cfg):
         return model.base_loss(net, base.with_values(values), batch)
 
     assert nn.check_gradients(fn, base.values, None, eps=1e-5) < 1e-4
+
+
+def test_base_loss_on_a_two_layer_field_finite_difference(tiny_cfg):
+    cfg = replace(tiny_cfg, gcn_layers=2, hops=1)
+    world = _grid_world(6, 6)
+    net = world.network
+    route = _two_edge_route(world)
+    field_e, field_v = model._receptive_field(net, cfg, [route])
+    assert not field_e.whole and not field_v.whole
+    base = model.init_base_params(net, cfg, seed=8)
+    ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots)
+    # The rows two layers away get gradients near 1e-7, whose central
+    # differences are dominated by the loss curvature unless the error is small,
+    # so the target sits one second off the prediction.
+    batch = [(route, model.predict_route(model.traffic_state(net, base, [ctx])[ctx], route) + 1.0)]
+
+    def fn(values, _):
+        return model.base_loss(net, base.with_values(values), batch)
+
+    assert nn.check_gradients(fn, base.values, None, eps=1e-4) < 1e-4
 
 
 def test_base_loss_gradient_rows_outside_the_field_are_positive_zero():

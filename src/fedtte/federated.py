@@ -5,6 +5,10 @@ trajectory departing in the elapsed window [previous instant, t) are
 eligible; a uniform subset of them copies the delivered global model, runs
 local epochs of per-trajectory SGD on the base loss, noises the result per
 the privacy config, and uploads it with its in-window sample count n_m. The
+chosen clients are trained in lockstep on stacked (C, ...) copies of the
+delivered model, step j of an epoch taking trajectory j of every client
+that has one; each client's steps, skips and noise are its own, so its
+upload is the same whichever other clients are chosen. The
 server folds the uploads into F <- sum (n_m / n) f_m in canonical client-id
 order, refreshes the served traffic state at the instant's slot, and records
 the round. Travel-time queries arriving before the next instant are answered
@@ -22,10 +26,9 @@ the seed, and insensitive to pool order or to the presence of non-selected
 clients.
 
 After training, every client fine-tunes its personal residual model against
-its frozen localized global model with plain per-pair SGD. All clients are
-stepped in lockstep on stacked (C, ...) tensors, but each client's arithmetic
-is its own, so its personal model is the same whichever other clients are
-present.
+its frozen localized global model with plain per-pair SGD, stepped in
+lockstep the same way. Both phases check steps with _steps_ok and update
+with nn.sgd_step.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ class ClientState:
         return [t for t in self.trajectories if start <= t.departure < end]
 
 
+# One aggregation a second. instants() lists every instant of the day, so a
+# finer interval would make a run hang building the list instead of failing.
+_MAX_INSTANTS = 86_400
+
+
 @dataclass(frozen=True)
 class AggregationSchedule:
     """Day bands (start hour, end hour, interval hours); bands partition
@@ -123,6 +131,8 @@ class AggregationSchedule:
                 raise ValueError(f"band {start}-{end}: interval {delta} is too small")
             if round(quotient) < 1:
                 raise ValueError(f"band {start}-{end}: interval {delta} yields no instant in length {length}")
+            if quotient > _MAX_INSTANTS:
+                raise ValueError(f"band {start}-{end}: interval {delta} yields more than {_MAX_INSTANTS} instants a day")
             if abs(quotient - round(quotient)) > 1e-9:
                 raise ValueError(f"band {start}-{end}: interval {delta} does not divide length {length}")
             total += length
@@ -255,10 +265,15 @@ def init_server(
 
 def build_clients(world: World, days: int = 1) -> list[ClientState]:
     """One client per driver, holding the sampled trajectories of `days`."""
+    return clients_from_records(world, [rec for day in range(days) for rec in datamod.sample_trajectories(world, day)])
+
+
+def clients_from_records(world: World, records: list[TrajectoryRecord]) -> list[ClientState]:
+    """One fresh client per driver of the world, in id order, holding its
+    records in the given order. The records are shared, not copied."""
     clients = {d.driver_id: ClientState(client_id=d.driver_id, network=world.network) for d in world.drivers}
-    for day in range(days):
-        for rec in datamod.sample_trajectories(world, day):
-            clients[rec.driver_id].trajectories.append(rec)
+    for rec in records:
+        clients[rec.driver_id].trajectories.append(rec)
     return [clients[k] for k in sorted(clients)]
 
 
@@ -286,57 +301,67 @@ def select_clients(pool, m: int, rng: np.random.Generator) -> list[str]:
 _MAX_STEP = 1.0
 
 
-def _step_ok(loss: float, grads: nn.GradSet, lr: float) -> bool:
-    if not math.isfinite(loss):
-        return False
-    for g in grads.values():
-        if g.size and not (lr * float(np.abs(g).max()) <= _MAX_STEP):
-            return False
-    return True
-
-
 def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float) -> np.ndarray:
-    """_step_ok per client, for (C,) losses and gradients stacked on a leading
-    client axis. Local training keeps _step_ok, whose return at the first
-    failing tensor makes rejected steps cheap."""
+    """Per client, whether its step is finite and moves no coordinate further
+    than _MAX_STEP, for (C,) losses and gradients stacked on a leading client
+    axis. A zero-size tensor (no numeric columns) moves nothing."""
     ok = np.isfinite(losses)
     for g in grads.values():
-        ok &= lr * np.abs(g).reshape(len(ok), -1).max(axis=1) <= _MAX_STEP
+        if g.size:
+            # max |g| without an |g| copy of the tensor, which on a large graph
+            # would raise the run's peak memory; NaN propagates
+            rows = g.reshape(len(ok), -1)
+            ok &= lr * np.maximum(rows.max(axis=1), -rows.min(axis=1)) <= _MAX_STEP
     return ok
 
 
 def client_update(
-    client: ClientState,
+    clients: list[ClientState],
     global_params: BaseModelParams,
     config: FederatedConfig,
     window: tuple[datetime, datetime],
     round_index: int = 0,
     holidays: frozenset = frozenset(),
-) -> tuple[nn.ParamSet, int]:
-    """Local training on the in-window trajectories, then DP noising.
+) -> list[tuple[nn.ParamSet, int]]:
+    """Local training of a round's chosen clients on their in-window
+    trajectories, then DP noising; one (upload, n_m) per client, in order.
 
-    Copies the delivered global model (overwriting any previous localized
-    copy), runs local_epochs passes of per-trajectory SGD in chronological
-    order, stores the un-noised result as the client's localized global
-    model, and returns the noised upload with the in-window sample count.
+    Every client copies the delivered global model (overwriting any previous
+    localized copy), runs local_epochs passes of per-trajectory SGD in
+    chronological order, stores the un-noised result as its localized global
+    model, and noises it with its own stream. The clients are stepped in
+    lockstep on (C, ...) stacks: step j of an epoch takes trajectory j of
+    every client that has one, and each client's arithmetic is its own.
     """
-    batch = sorted(client.in_window(*window), key=lambda t: (t.departure, t.y))
-    if not batch:
-        raise ValueError(f"client {client.client_id} has no trajectories in the window")
-    localized = global_params.clone()
-    values = localized.values
+    batches = [sorted(client.in_window(*window), key=lambda t: (t.departure, t.y)) for client in clients]
+    for client, batch in zip(clients, batches):
+        if not batch:
+            raise ValueError(f"client {client.client_id} has no trajectories in the window")
+        if client.network is not clients[0].network:
+            raise ValueError(f"client {client.client_id} trains on another road network")
+    for client in clients:
+        client.localized_global = None  # replaced below; not kept alive beside the stack
+    # Longest batch first, so the clients with a j-th trajectory are a prefix
+    # of the stack and step j runs on views of it.
+    order = sorted(range(len(clients)), key=lambda i: -len(batches[i]))
+    counts = [len(batches[i]) for i in order]
+    values = {k: np.repeat(v[None], len(clients), axis=0) for k, v in global_params.values.items()}
+    lr = config.base_lr
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_epochs):
-            for traj in batch:
-                loss, grads = base_loss(client.network, localized, [(traj.route, traj.y)], holidays)
-                if not _step_ok(loss, grads, config.base_lr):
-                    continue
-                values = nn.sgd_step(values, grads, config.base_lr)
-                localized.values = values
-    client.localized_global = localized
+            for j in range(counts[0]):
+                active = sum(count > j for count in counts)
+                stack = {k: v[:active] for k, v in values.items()}
+                steps = [batches[i][j] for i in order[:active]]
+                losses, grads = base_loss(clients[0].network, global_params, stack, [(t.route, t.y) for t in steps], holidays)
+                nn.sgd_step(stack, grads, lr, _steps_ok(losses, grads, lr))
+    for slot, i in enumerate(order):
+        clients[i].localized_global = global_params.with_values({k: v[slot].copy() for k, v in values.items()})
     dp = DpConfig(epsilon=config.dp_epsilon, clip_bound=config.dp_clip, seed=config.seed)
-    upload = noise_params(values, dp, rng=nn.spawn_rng(config.seed, "dp", client.client_id, round_index))
-    return upload, len(batch)
+    return [
+        (noise_params(c.localized_global.values, dp, rng=nn.spawn_rng(config.seed, "dp", c.client_id, round_index)), len(batch))
+        for c, batch in zip(clients, batches)
+    ]
 
 
 def aggregate(received: list[tuple[int, nn.ParamSet]]) -> nn.ParamSet:
@@ -376,9 +401,9 @@ def train_round(
         m = min(config.clients_per_round, len(eligible))
         chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", server.round_index))
         by_id = {c.client_id: c for c in eligible}
-        for cid in chosen:
-            upload, n_m = client_update(by_id[cid], server.global_params, config, window, server.round_index, holidays)
-            uploads.append((by_id[cid], n_m, upload))
+        clients = [by_id[cid] for cid in chosen]
+        results = client_update(clients, server.global_params, config, window, server.round_index, holidays)
+        uploads = [(client, n_m, upload) for client, (upload, n_m) in zip(clients, results)]
         server.global_params = server.global_params.with_values(aggregate([(n_m, upload) for _, n_m, upload in uploads]))
     server.round_index += 1
     return uploads
@@ -429,7 +454,7 @@ def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holiday
     """Personal-model SGD on residuals against each client's frozen localized global.
 
     Each client runs plain per-pair SGD: personal_epochs passes over its
-    (y, y_hat) pairs in chronological order, skipping steps _step_ok rejects.
+    (y, y_hat) pairs in chronological order, skipping steps _steps_ok rejects.
     Step j of an epoch takes pair j of every client that has one, on stacked
     (C, ...) tensors; no client's result depends on the others. Each localized
     global model's bytes are digest-guarded: fine-tuning must not alter them.
@@ -462,14 +487,7 @@ def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holiday
         for _ in range(config.personal_epochs):
             for j in range(batch.shape[1]):
                 losses, grads = personal_loss(inputs, values, batch[:, j : j + 1])
-                take = has_pair[:, j] & _steps_ok(losses, grads, lr)
-                # p - lr * g on the clients that take the step, whole tensors:
-                # off the rows a profile looked up an embedding gradient is
-                # +0.0, and p - lr * 0.0 == p for the finite lr a step implies.
-                # lr * g overwrites g, which is not read again.
-                for name, p in values.items():
-                    step = np.multiply(grads[name], lr, out=grads[name])
-                    np.subtract(p, step, out=p, where=take.reshape(-1, *(1,) * (p.ndim - 1)))
+                nn.sgd_step(values, grads, lr, has_pair[:, j] & _steps_ok(losses, grads, lr))
     for c, client in enumerate(pool):
         client.personal.values = {k: v[c] for k, v in values.items()}
         if nn.params_digest(client.localized_global.values) != guards[c]:

@@ -13,13 +13,18 @@ Base model pipeline, per entity kind (edges and nodes):
 4. route prediction: sum of the route's edge entries and interior-node
    entries of the traffic state at the route's slot.
 
-The base loss of a batch is evaluated exactly on the batch's receptive field:
-the edges within gcn_layers * hops line-graph hops of its routes' edges and the
-nodes within as many node-graph hops of their interior nodes, convolved with
-the sub-block of the global normalized Laplacian over those rows (not
-renormalized). Its loss and gradients equal the whole-graph pass byte for
-byte; a field over more than half of a side runs as the whole side. The
-weight gradients sum over the field's rows in BLAS matrix products, so this
+The base loss is evaluated for C clients at once, one route each, on their
+tensors stacked along a leading client axis (a lockstep step of local
+training; one client is C = 1). Each client's route is evaluated exactly on
+its receptive field: the edges within gcn_layers * hops line-graph hops of
+its edges and the nodes within as many node-graph hops of its interior
+nodes, convolved with the sub-block of the global normalized Laplacian over
+those rows (not renormalized). The clients' fields are padded to one width
+and convolved together through the block-diagonal matrix of their
+sub-blocks. When the rows around all the routes are more than half of a
+side, every client runs on the whole side instead. Each client's loss and
+gradients equal its own whole-graph pass byte for byte. The weight
+gradients sum over the field's rows in BLAS matrix products, so this
 identity holds with a BLAS that adds a product's rows in sequence; it was
 measured with OpenBLAS 0.3.31, and a BLAS that splits the rows into blocks
 may differ from the whole-graph pass in the last bit.
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from datetime import datetime
 
 import numpy as np
@@ -196,58 +202,126 @@ def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseM
 
 @dataclass(frozen=True)
 class _Field:
-    """The rows of one side ("e" or "v") that a pass computes and the sub-block
-    of the side's global normalized Laplacian over them, not renormalized.
-    rows is a sorted position array, or slice(None) for the whole graph."""
+    """The rows of one side ("e" or "v") that a pass computes for each of C
+    clients, with the matrix that propagates them.
+
+    On the whole side, rows is slice(None), valid is None and laplacian is
+    the side's normalized Laplacian, which every client shares. Otherwise
+    rows is (C, n): client c's field rows in ascending order, padded to n by
+    repeating its last row, and valid marks the rows that are not padding;
+    laplacian is block-diagonal, client c's block being the sub-block of the
+    global Laplacian over its rows (not renormalized), with an empty row and
+    column per padding row. A padding row never reaches a real row, and it
+    copies a real row, so it is finite when that row is.
+    """
 
     rows: np.ndarray | slice
+    valid: np.ndarray | None
     laplacian: sp.csr_matrix
     n_total: int
 
     @property
     def whole(self) -> bool:
-        return isinstance(self.rows, slice)
+        return self.valid is None
 
-    def local(self, positions: list[int]):
-        """Row numbers of global positions within the field."""
-        return positions if self.whole else np.searchsorted(self.rows, positions)
+    def local(self, c: int, positions: list[int]):
+        """Row numbers of global positions within client c's field."""
+        return positions if self.whole else np.searchsorted(self.rows[c], positions)
+
+    def gather(self, table: np.ndarray, ids) -> np.ndarray:
+        """table[c, ids[c]] for (C, ...) tables: ids is one row of ids per
+        client, or on the whole side one row that every client shares."""
+        return table[:, ids] if self.whole else table[self.clients, ids]
+
+    def real(self, x: np.ndarray) -> np.ndarray:
+        """The real rows of a (C, n, ...) array, client by client."""
+        return x.reshape(-1, *x.shape[2:]) if self.whole else x[self.valid]
+
+    @cached_property
+    def clients(self) -> np.ndarray:
+        return np.arange(len(self.rows))[:, None]
+
+    @cached_property
+    def real_rows(self) -> np.ndarray:
+        """Flat positions c * n_total + row of the real rows, client by client."""
+        return (self.rows + self.n_total * self.clients)[self.valid]
+
+    def scatter_add(self, dest: np.ndarray, x: np.ndarray) -> None:
+        """dest[c, rows[c]] += x[c] on the real rows, for (C, n_total, ...) dest."""
+        if self.whole:
+            dest += x
+        else:
+            dest.reshape(-1, *dest.shape[2:])[self.real_rows] += x[self.valid]
+
+    def propagate(self, x: np.ndarray) -> np.ndarray:
+        """L @ x[c] for every client c of a (C, n, d) stack. Row i of client c
+        sums the terms of its Laplacian row in their stored order, as that
+        client's own product does. On the whole side the clients' columns
+        sit side by side in one product, and the result is made contiguous
+        client-major again, so every client's slice has a single client's
+        layout."""
+        c, n, d = x.shape
+        if not self.whole:
+            return (self.laplacian @ x.reshape(c * n, d)).reshape(c, n, d)
+        out = self.laplacian @ x.transpose(1, 0, 2).reshape(n, c * d)
+        return np.ascontiguousarray(out.reshape(n, c, d).transpose(1, 0, 2))
+
+
+def _block_diagonal(blocks: list[sp.csr_matrix], size: int) -> sp.csr_matrix:
+    """The blocks on the diagonal, each padded with empty rows and columns to
+    size; every row keeps its stored entries in their stored order."""
+    if len(blocks) == 1 and blocks[0].shape[0] == size:
+        return blocks[0]
+    index_dtype = blocks[0].indices.dtype
+    indptr = np.zeros(len(blocks) * size + 1, dtype=index_dtype)
+    offset = 0
+    for c, block in enumerate(blocks):
+        ends = indptr[1 + c * size : 1 + (c + 1) * size]
+        ends[:] = block.indptr[-1] + offset
+        ends[: block.shape[0]] = block.indptr[1:] + offset
+        offset += block.indptr[-1]
+    indices = np.concatenate([block.indices + c * size for c, block in enumerate(blocks)]).astype(index_dtype, copy=False)
+    data = np.concatenate([block.data for block in blocks])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(blocks) * size,) * 2)
 
 
 def _whole_graph(network: RoadNetwork) -> tuple[_Field, _Field]:
     return (
-        _Field(slice(None), network.laplacian_edges, network.n_edges),
-        _Field(slice(None), network.laplacian_nodes, network.n_nodes),
+        _Field(slice(None), None, network.laplacian_edges, network.n_edges),
+        _Field(slice(None), None, network.laplacian_nodes, network.n_nodes),
     )
 
 
-def _side_field(laplacian: sp.csr_matrix, seeds: list[int], radius: int) -> _Field:
-    """Exact field of a pass whose outputs are read at `seeds`: every row within
-    `radius` hops of them in the Laplacian's sparsity pattern. Row i of L @ h
-    reads h only at i's stored entries, so a row at distance r from the seeds
-    is exact after radius - r propagation steps on the sub-block."""
+def _reach(laplacian: sp.csr_matrix, seeds: list[int], radius: int) -> np.ndarray | None:
+    """Mask of the rows within `radius` hops of the seeds in the Laplacian's
+    sparsity pattern, or None when they are more than half the rows. Row i of
+    L @ h reads h only at i's stored entries, so a row at distance r from the
+    seeds is exact after radius - r propagation steps on the sub-block."""
     n = laplacian.shape[0]
-    row_sizes = np.diff(laplacian.indptr)
     reached = np.zeros(n, dtype=bool)
     reached[seeds] = True
     for _ in range(radius):
         if 2 * np.count_nonzero(reached) > n:
             break
-        reached[laplacian.indices[np.repeat(reached, row_sizes)]] = True
+        reached[laplacian.indices[np.repeat(reached, np.diff(laplacian.indptr))]] = True
     # A field over more than half the rows costs more to gather, scatter and
     # pad than the rows it saves (a 2-hop ball covers 32 of a 3x4 grid's 34
     # edges), so it runs as the whole graph. This depends on the input only.
-    if 2 * np.count_nonzero(reached) > n:
-        return _Field(slice(None), laplacian, n)
-    # The sub-block keeps each row's stored entries in their stored order, so
-    # L_sub @ h sums a row's terms in the order L @ h does. It is cut from the
-    # CSR arrays directly: scipy's laplacian[rows][:, rows] gives the same
-    # matrix, but made the benchmark's stress run_s 7% slower (10 paired runs
-    # on a 2-vCPU host). Its index arrays keep the Laplacian's integer type, so
-    # scipy does not copy them into that type.
+    return None if 2 * np.count_nonzero(reached) > n else reached
+
+
+def _sub_block(laplacian: sp.csr_matrix, reached: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The reached rows and the Laplacian's sub-block over them. The sub-block
+    keeps each row's stored entries in their stored order, so L_sub @ h sums
+    a row's terms in the order L @ h does. It is cut from the CSR arrays
+    directly: scipy's laplacian[rows][:, rows] gives the same matrix, but made
+    the benchmark's stress run_s 7% slower (10 paired runs on a 2-vCPU host).
+    Its index arrays keep the Laplacian's integer type, so scipy does not
+    copy them into that type."""
     rows = np.flatnonzero(reached)
     index_dtype = laplacian.indices.dtype
     local = np.cumsum(reached, dtype=index_dtype) - 1
-    counts = row_sizes[rows]
+    counts = np.diff(laplacian.indptr)[rows]
     offsets = np.concatenate(([0], np.cumsum(counts)))
     entries = np.repeat(laplacian.indptr[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
     cols = laplacian.indices[entries]
@@ -255,64 +329,87 @@ def _side_field(laplacian: sp.csr_matrix, seeds: list[int], radius: int) -> _Fie
     kept = np.zeros(len(cols) + 1, dtype=index_dtype)
     np.cumsum(keep, out=kept[1:])
     sub = sp.csr_matrix((laplacian.data[entries[keep]], local[cols[keep]], kept[offsets]), shape=(len(rows), len(rows)))
-    return _Field(rows, sub, n)
+    return rows, sub
+
+
+def _side_field(laplacian: sp.csr_matrix, seeds: list[list[int]], radius: int) -> _Field:
+    """Exact field of C clients' passes whose outputs are read at seeds[c].
+
+    When the rows around all the seeds are more than half the side, every
+    client runs on the whole side, which holds its own field. Otherwise each
+    client runs on its own field: on their union, every client would compute
+    every other client's rows too.
+    """
+    n = laplacian.shape[0]
+    union = _reach(laplacian, [s for client_seeds in seeds for s in client_seeds], radius)
+    if union is None:
+        return _Field(slice(None), None, laplacian, n)
+    reaches = [union] if len(seeds) == 1 else [_reach(laplacian, client_seeds, radius) for client_seeds in seeds]
+    blocks = [_sub_block(laplacian, reached) for reached in reaches]
+    width = max(len(rows) for rows, _ in blocks)
+    padded = np.zeros((len(blocks), width), dtype=np.intp)
+    valid = np.zeros((len(blocks), width), dtype=bool)
+    for c, (rows, _) in enumerate(blocks):
+        padded[c, : len(rows)] = rows
+        padded[c, len(rows) :] = rows[-1] if len(rows) else 0
+        valid[c, : len(rows)] = True
+    return _Field(padded, valid, _block_diagonal([sub for _, sub in blocks], width), n)
 
 
 def _receptive_field(network: RoadNetwork, cfg: ModelConfig, routes: list[Route]) -> tuple[_Field, _Field]:
-    """Edge and node fields of a batch: the rows within gcn_layers * hops hops of
-    the routes' edges (line graph) and interior nodes (node graph)."""
+    """Edge and node fields of one route per client: the rows within
+    gcn_layers * hops hops of each route's edges (line graph) and interior
+    nodes (node graph)."""
     radius = cfg.gcn_layers * cfg.hops
-    edges = [pos for route in routes for pos in route.edge_positions()]
-    nodes = [pos for route in routes for pos in route.node_positions()]
     return (
-        _side_field(network.laplacian_edges, edges, radius),
-        _side_field(network.laplacian_nodes, nodes, radius),
+        _side_field(network.laplacian_edges, [route.edge_positions() for route in routes], radius),
+        _side_field(network.laplacian_nodes, [route.node_positions() for route in routes], radius),
     )
 
 
-def _embed_side(network: RoadNetwork, params: BaseModelParams, side: str, rows=slice(None)):
-    """Initial representations of one side's rows ("e" or "v"; all rows by
-    default): summed slot lookups + identity rows + projected standardized
-    numeric features; also returns the standardized features."""
-    v = params.values
+def _embed_side(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, side: str, field: _Field):
+    """Initial representations (C, n, d) of each client's field rows of one
+    side ("e" or "v") for C clients' (C, ...) values: summed slot lookups +
+    identity rows + projected standardized numeric features; also returns the
+    standardized features, (n, k) on the whole side, else (C, n, k)."""
     if side == "e":
         cat, num = network.edge_categorical, network.edge_numeric
         mean, std = params.edge_num_mean, params.edge_num_std
     else:
         cat, num = network.node_categorical, network.node_numeric
         mean, std = params.node_num_mean, params.node_num_std
-    x = (num[rows] - mean) / std
-    h = x @ v[f"num_proj_{side}.w"] + v[f"num_proj_{side}.b"]
+    x = (num[field.rows] - mean) / std
+    h = np.matmul(x, values[f"num_proj_{side}.w"]) + values[f"num_proj_{side}.b"][:, None]
     for slot_idx in range(cat.shape[1]):
-        table = v[f"embed_{side}.slot{slot_idx}"]
-        ids = cat[rows, slot_idx]
-        if ids.size and ids.max() >= table.shape[0]:
-            raise IndexError(f"categorical value {ids.max()} outside vocabulary {table.shape[0]} for slot {slot_idx}")
-        h = h + table[ids]
-    h = h + v[f"embed_{side}.identity"][rows]
+        table = values[f"embed_{side}.slot{slot_idx}"]
+        ids = cat[field.rows, slot_idx]
+        if ids.size and ids.max() >= table.shape[1]:
+            raise IndexError(f"categorical value {ids.max()} outside vocabulary {table.shape[1]} for slot {slot_idx}")
+        h = h + field.gather(table, ids)
+    h = h + field.gather(values[f"embed_{side}.identity"], field.rows)
     return h, x
 
 
-def _gcn_stack_forward(laplacian, h0: np.ndarray, params: BaseModelParams, side: str):
-    """gcn_layers graph convolutions ReLU(sum_{c=0}^{hops} theta_c L^c h) W, with
-    the powers of L applied iteratively (L^c is never materialized); also
-    returns the per-layer caches the backward pass reads. On a field's
-    sub-Laplacian, rows near its border come out inexact; the field's radius
-    keeps them out of the rows a loss reads."""
+def _gcn_stack_forward(field: _Field, h0: np.ndarray, params: BaseModelParams, values: nn.ParamSet, side: str):
+    """gcn_layers graph convolutions ReLU(sum_{c=0}^{hops} theta_c L^c h) W on
+    (C, n, d) stacks, with the powers of L applied iteratively (L^c is never
+    materialized); also returns the per-layer caches the backward pass reads.
+    On a field's sub-Laplacian, rows near its border come out inexact; the
+    field's radius keeps them out of the rows a loss reads."""
     caches = []
     h = h0
     for layer in range(params.cfg.gcn_layers):
-        w = params.values[f"gcn_{side}.l{layer}.w"]
-        theta = params.values[f"gcn_{side}.l{layer}.theta"]
+        w = values[f"gcn_{side}.l{layer}.w"]
+        theta = values[f"gcn_{side}.l{layer}.theta"][:, :, None, None]
         powers = [h]
         for _ in range(params.cfg.hops):
-            powers.append(laplacian @ powers[-1])
-        s = theta[0] * powers[0]
-        for c in range(1, len(theta)):
-            s = s + theta[c] * powers[c]
+            powers.append(field.propagate(powers[-1]))
+        s = theta[:, 0] * powers[0]
+        for c in range(1, len(powers)):
+            s = s + theta[:, c] * powers[c]
         activated = nn.relu(s)
         caches.append({"powers": powers, "mask": s > 0, "activated": activated, "w": w, "theta": theta})
-        h = activated @ w
+        h = np.matmul(activated, w)
     return h, caches
 
 
@@ -320,43 +417,49 @@ def _gcn_stack_backward(field: _Field, caches, d_out: np.ndarray, grads: nn.Grad
     # np.sum's pairwise order depends on the array's length, so on a field
     # theta's sums run over a zero-padded whole-side buffer: the same terms in
     # the same positions as on the whole graph.
-    padded = None if field.whole else np.zeros((field.n_total, d_out.shape[1]))
+    n_clients = len(d_out)
+    padded = None if field.whole else np.zeros((field.n_total, d_out.shape[2]))
     for layer in reversed(range(len(caches))):
         cache = caches[layer]
-        grads[f"gcn_{side}.l{layer}.w"] += cache["activated"].T @ d_out
-        d_act = d_out @ cache["w"].T
+        grads[f"gcn_{side}.l{layer}.w"] += np.matmul(cache["activated"].transpose(0, 2, 1), d_out)
+        d_act = np.matmul(d_out, cache["w"].transpose(0, 2, 1))
         d_s = np.where(cache["mask"], d_act, 0.0)
         theta = cache["theta"]
         powers = cache["powers"]
         d_theta = grads[f"gcn_{side}.l{layer}.theta"]
-        for c in range(len(theta)):
+        for c in range(len(powers)):
             terms = powers[c] * d_s
-            if padded is not None:
-                padded[field.rows] = terms
-                terms = padded
-            d_theta[c] += float(np.sum(terms))
-        d_h = theta[0] * d_s
+            if padded is None:
+                d_theta[:, c] += terms.reshape(n_clients, -1).sum(axis=1)
+                continue
+            # one client at a time, so the buffer stays one side's size
+            for k, (rows, real) in enumerate(zip(field.rows, field.valid)):
+                padded[rows[real]] = terms[k, real]
+                d_theta[k, c] += padded.sum()
+                padded[rows[real]] = 0.0
+        d_h = theta[:, 0] * d_s
         q = d_s
-        for c in range(1, len(theta)):
-            q = field.laplacian @ q  # L symmetric, so L^T = L
-            d_h = d_h + theta[c] * q
+        for c in range(1, len(powers)):
+            q = field.propagate(q)  # L symmetric, so L^T = L
+            d_h = d_h + theta[:, c] * q
         d_out = d_h
     return d_out
 
 
-def _temporal_code(ctx: TimeContext, cfg: ModelConfig, holiday_table: np.ndarray) -> np.ndarray:
-    """(K, 7+K+holiday_dim) raw codes: row k is the context rendered at slot k."""
+def _temporal_code(ctxs: list[TimeContext], cfg: ModelConfig, holiday_rows: np.ndarray) -> np.ndarray:
+    """(C, K, 7+K+holiday_dim) raw codes, one per context: row k is the
+    context rendered at slot k, with the context's row of the holiday table."""
     k = cfg.time_slots
-    code = np.zeros((k, DAYS_PER_WEEK + k + holiday_table.shape[1]))
-    code[:, ctx.day_of_week] = 1.0
-    np.fill_diagonal(code[:, DAYS_PER_WEEK : DAYS_PER_WEEK + k], 1.0)
-    code[:, DAYS_PER_WEEK + k :] = holiday_table[1 if ctx.is_holiday else 0]
+    code = np.zeros((len(ctxs), k, DAYS_PER_WEEK + k + holiday_rows.shape[1]))
+    code[np.arange(len(ctxs)), :, [ctx.day_of_week for ctx in ctxs]] = 1.0
+    code[:, np.arange(k), DAYS_PER_WEEK + np.arange(k)] = 1.0
+    code[:, :, DAYS_PER_WEEK + k :] = holiday_rows[:, None, :]
     return code
 
 
 def build_temporal_table(params: BaseModelParams, ctx: TimeContext) -> np.ndarray:
     """K x I table of projected temporal codes for the context's day."""
-    code = _temporal_code(ctx, params.cfg, params.values["temporal.holiday"])
+    code = _temporal_code([ctx], params.cfg, params.values["temporal.holiday"][[1 if ctx.is_holiday else 0]])[0]
     return code @ params.values["temporal.w"] + params.values["temporal.b"]
 
 
@@ -369,23 +472,25 @@ def temporal_attention(temporal_table: np.ndarray, ctx: TimeContext) -> np.ndarr
     return probs[ctx.slot].copy()
 
 
-def _heads_forward(network: RoadNetwork, params: BaseModelParams, fields: tuple[_Field, _Field]):
-    v = params.values
+def _heads_forward(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, fields: tuple[_Field, _Field]):
+    """Head rows U = hW + b (C, n, I) of both sides' field rows for C clients'
+    (C, ...) values, with the caches the backward pass reads."""
     field_e, field_v = fields
-    he0, xe = _embed_side(network, params, "e", field_e.rows)
-    hv0, xv = _embed_side(network, params, "v", field_v.rows)
-    he, caches_e = _gcn_stack_forward(field_e.laplacian, he0, params, "e")
-    hv, caches_v = _gcn_stack_forward(field_v.laplacian, hv0, params, "v")
-    ue = he @ v["head_e.w"] + v["head_e.b"][field_e.rows, None]
-    uv = hv @ v["head_v.w"] + v["head_v.b"][field_v.rows, None]
+    he0, xe = _embed_side(network, params, values, "e", field_e)
+    hv0, xv = _embed_side(network, params, values, "v", field_v)
+    he, caches_e = _gcn_stack_forward(field_e, he0, params, values, "e")
+    hv, caches_v = _gcn_stack_forward(field_v, hv0, params, values, "v")
+    ue = np.matmul(he, values["head_e.w"]) + field_e.gather(values["head_e.b"], field_e.rows)[:, :, None]
+    uv = np.matmul(hv, values["head_v.w"]) + field_v.gather(values["head_v.b"], field_v.rows)[:, :, None]
     return {"xe": xe, "xv": xv, "he": he, "hv": hv, "ue": ue, "uv": uv, "caches_e": caches_e, "caches_v": caches_v}
 
 
 def traffic_state(network: RoadNetwork, params: BaseModelParams, ctxs: list[TimeContext]) -> dict[TimeContext, TrafficState]:
     """Estimated travel-time vectors for every edge and node, one state per
     distinct context of ctxs. The heads do not depend on the context, so one
-    whole-graph forward pass serves every context."""
-    fw = _heads_forward(network, params, _whole_graph(network))
+    whole-graph forward pass (of the C = 1 stack) serves every context."""
+    fw = _heads_forward(network, params, {k: v[None] for k, v in params.values.items()}, _whole_graph(network))
+    ue, uv = fw["ue"][0], fw["uv"][0]
     scale = params.cfg.output_scale
     states = {}
     for ctx in dict.fromkeys(ctxs):
@@ -393,8 +498,8 @@ def traffic_state(network: RoadNetwork, params: BaseModelParams, ctxs: list[Time
         states[ctx] = TrafficState(
             slot=ctx.slot,
             n_slots=params.cfg.time_slots,
-            y_edges=scale * (fw["ue"] @ a),
-            y_nodes=scale * (fw["uv"] @ a),
+            y_edges=scale * (ue @ a),
+            y_nodes=scale * (uv @ a),
         )
     return states
 
@@ -423,84 +528,92 @@ def predict_route(state: TrafficState, route: Route, strict: bool = True) -> flo
 def base_loss(
     network: RoadNetwork,
     params: BaseModelParams,
+    values: nn.ParamSet,
     batch: list[tuple[Route, float]],
     holidays: frozenset = frozenset(),
-) -> tuple[float, nn.GradSet]:
-    """Sum of squared route errors and gradients over every base tensor.
+) -> tuple[np.ndarray, nn.GradSet]:
+    """Per-client squared route errors (C,) and gradients over every base tensor.
 
-    Forward and backward run on the batch's receptive field only; the loss and
-    every gradient equal those of the whole-graph pass byte for byte, and the
-    rows of edge- and node-indexed gradients outside the field are +0.0.
-    Routes are grouped by time context; embeddings, graph convolutions, and
-    heads are shared across the batch, so one backward pass serves all groups.
+    values holds C clients' base tensors stacked as (C, ...) arrays and batch
+    one (route, y) per client; params supplies the configuration and the
+    numeric-feature standardization, which every client shares. Client c's
+    loss is (prediction of its route under values[c] - y)^2 and its gradients
+    touch only its own slice. A single client is the case C = 1.
+
+    Forward and backward run on the union of the routes' receptive fields.
+    It holds every route's whole field, so each client's loss and gradients
+    equal those of its own whole-graph pass byte for byte, and the rows of
+    edge- and node-indexed gradients outside the field are +0.0.
     """
-    if not batch:
-        raise ValueError("empty batch")
+    if not batch or len(batch) != len(values["head_e.b"]):
+        raise ValueError(f"need one (route, y) per client, got {len(batch)} for {len(values['head_e.b'])}")
     cfg = params.cfg
-    v = params.values
     scale = cfg.output_scale
+    n_clients = len(batch)
+    clients = np.arange(n_clients)
     fields = _receptive_field(network, cfg, [route for route, _ in batch])
     field_e, field_v = fields
-    fw = _heads_forward(network, params, fields)
+    fw = _heads_forward(network, params, values, fields)
     ue, uv = fw["ue"], fw["uv"]
-    grads = nn.zeros_like_params(v)
+    grads = nn.zeros_like_params(values)
 
-    groups: dict[TimeContext, list[tuple[Route, float]]] = {}
-    for route, y in batch:
-        ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays)
-        groups.setdefault(ctx, []).append((route, y))
+    ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
+    slots = np.array([ctx.slot for ctx in ctxs])
+    holiday_rows = np.array([1 if ctx.is_holiday else 0 for ctx in ctxs])
+    code = _temporal_code(ctxs, cfg, values["temporal.holiday"][clients, holiday_rows])
+    table = np.matmul(code, values["temporal.w"]) + values["temporal.b"][:, None]
+    probs = nn.softmax(table, axis=1)
+    attn = probs[clients, slots]
 
-    due = np.zeros(ue.shape)
-    duv = np.zeros(uv.shape)
-    loss = 0.0
-    for ctx in sorted(groups, key=TimeContext.sort_key):
-        code = _temporal_code(ctx, cfg, v["temporal.holiday"])
-        table = code @ v["temporal.w"] + v["temporal.b"]
-        probs = nn.softmax(table, axis=0)
-        attn = probs[ctx.slot]
-        w_edges = np.zeros(len(ue))
-        w_nodes = np.zeros(len(uv))
-        d_attn = np.zeros(attn.shape)
-        for route, y in groups[ctx]:
-            e_pos = field_e.local(route.edge_positions())
-            n_pos = field_v.local(route.node_positions())
-            srow = ue[e_pos].sum(axis=0)
-            if len(n_pos):
-                srow = srow + uv[n_pos].sum(axis=0)
-            err = scale * float(srow @ attn) - y
-            loss += err * err
-            g = 2.0 * err
-            np.add.at(w_edges, e_pos, g)
-            if len(n_pos):
-                np.add.at(w_nodes, n_pos, g)
-            d_attn += g * scale * srow
-        due += scale * np.outer(w_edges, attn)
-        duv += scale * np.outer(w_nodes, attn)
-        # softmax-at-slot backward: a_i = probs[t, i]
-        d_at_slot = d_attn * probs[ctx.slot]
-        d_table = -probs * d_at_slot[None, :]
-        d_table[ctx.slot] += d_at_slot
-        grads["temporal.w"] += code.T @ d_table
-        grads["temporal.b"] += d_table.sum(axis=0)
-        d_code = d_table @ v["temporal.w"].T
-        hol_block = DAYS_PER_WEEK + cfg.time_slots
-        grads["temporal.holiday"][1 if ctx.is_holiday else 0] += d_code[:, hol_block:].sum(axis=0)
+    # The route sums, one client at a time, are the single-client operations on
+    # the client's contiguous slice, so they add in the same order.
+    losses = np.zeros(n_clients)
+    w_edges = np.zeros(ue.shape[:2])
+    w_nodes = np.zeros(uv.shape[:2])
+    d_attn = np.zeros(attn.shape)
+    for c, (route, y) in enumerate(batch):
+        e_pos = field_e.local(c, route.edge_positions())
+        n_pos = field_v.local(c, route.node_positions())
+        srow = ue[c][e_pos].sum(axis=0)
+        if len(n_pos):
+            srow = srow + uv[c][n_pos].sum(axis=0)
+        err = scale * float(srow @ attn[c]) - y
+        losses[c] += err * err
+        g = 2.0 * err
+        np.add.at(w_edges[c], e_pos, g)
+        if len(n_pos):
+            np.add.at(w_nodes[c], n_pos, g)
+        d_attn[c] += g * scale * srow
+    due = 0.0 + scale * (w_edges[:, :, None] * attn[:, None, :])
+    duv = 0.0 + scale * (w_nodes[:, :, None] * attn[:, None, :])
+    # softmax-at-slot backward: a_i = probs[t, i]
+    d_at_slot = d_attn * attn
+    d_table = -probs * d_at_slot[:, None, :]
+    d_table[clients, slots] += d_at_slot
+    grads["temporal.w"] += np.matmul(code.transpose(0, 2, 1), d_table)
+    grads["temporal.b"] += d_table.sum(axis=1)
+    d_code = np.matmul(d_table, values["temporal.w"].transpose(0, 2, 1))
+    hol_block = DAYS_PER_WEEK + cfg.time_slots
+    grads["temporal.holiday"][clients, holiday_rows] += d_code[:, :, hol_block:].sum(axis=1)
 
     for side, du, h_top, caches, field, cat, x_std in (
         ("e", due, fw["he"], fw["caches_e"], field_e, network.edge_categorical, fw["xe"]),
         ("v", duv, fw["hv"], fw["caches_v"], field_v, network.node_categorical, fw["xv"]),
     ):
-        grads[f"head_{side}.w"] += h_top.T @ du
-        grads[f"head_{side}.b"][field.rows] += du.sum(axis=1)
-        d_h = du @ v[f"head_{side}.w"].T
+        grads[f"head_{side}.w"] += np.matmul(h_top.transpose(0, 2, 1), du)
+        field.scatter_add(grads[f"head_{side}.b"], du.sum(axis=2))
+        d_h = np.matmul(du, values[f"head_{side}.w"].transpose(0, 2, 1))
         d_h0 = _gcn_stack_backward(field, caches, d_h, grads, side)
-        grads[f"embed_{side}.identity"][field.rows] += d_h0
+        field.scatter_add(grads[f"embed_{side}.identity"], d_h0)
         for slot_idx in range(cat.shape[1]):
-            table = v[f"embed_{side}.slot{slot_idx}"]
-            grads[f"embed_{side}.slot{slot_idx}"] += nn.embedding_scatter(table.shape, cat[field.rows, slot_idx], d_h0)
-        grads[f"num_proj_{side}.w"] += x_std.T @ d_h0
-        grads[f"num_proj_{side}.b"] += d_h0.sum(axis=0)
-    return loss, grads
+            # client c's ids index rows c * vocab + id of the stacked table
+            shape = values[f"embed_{side}.slot{slot_idx}"].shape
+            ids = cat[field.rows, slot_idx] + shape[1] * clients[:, None]
+            flat = nn.embedding_scatter((shape[0] * shape[1], shape[2]), field.real(ids), field.real(d_h0))
+            grads[f"embed_{side}.slot{slot_idx}"] += flat.reshape(shape)
+        grads[f"num_proj_{side}.w"] += np.matmul(np.swapaxes(x_std, -1, -2), d_h0)
+        grads[f"num_proj_{side}.b"] += d_h0.sum(axis=1)
+    return losses, grads
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Everything the model module composes lives here: named parameter sets with a
 canonical (lexicographic) ordering, the layer helpers the model does not
-inline (embedding-gradient scatter, softmax, ReLU), plain SGD, a
-central-difference gradient-checking oracle, and a flat binary serialization
+inline (embedding-gradient scatter, softmax, ReLU), plain SGD on
+client-stacked tensors, a central-difference gradient-checking oracle, and a flat binary serialization
 used for checkpoints and simulated uploads.
 
 Tensors are plain float64 numpy arrays. A ParamSet is a ``dict[str, ndarray]``
 treated as a value: operations return new dicts with new arrays and never
-mutate their inputs. GradSet is the same shape of object, keyed and shaped
-congruently with the ParamSet it differentiates.
+mutate their inputs, except sgd_step, which updates the private (C, ...)
+stacks that training steps in lockstep. GradSet is the same shape of object,
+keyed and shaped congruently with the ParamSet it differentiates.
 """
 
 from __future__ import annotations
@@ -172,10 +173,17 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sgd_step(params: ParamSet, grads: GradSet, lr: float) -> ParamSet:
-    """One plain SGD update, p <- p - lr * g, as a new ParamSet."""
-    assert_congruent(params, grads)
-    return {k: params[k] - lr * grads[k] for k in params}
+def sgd_step(values: ParamSet, grads: GradSet, lr: float, take: np.ndarray) -> None:
+    """One plain SGD update p <- p - lr * g, in place, for the clients c of
+    (C, ...) stacked tensors with take[c] True; the others keep their values.
+
+    Whole tensors are updated: where a gradient is +0.0 (an embedding row no
+    input looked up), p - lr * 0.0 == p for the finite lr a taken step
+    implies. lr * g overwrites the gradients, which are not read again.
+    """
+    for name, p in values.items():
+        step = np.multiply(grads[name], lr, out=grads[name])
+        np.subtract(p, step, out=p, where=take.reshape(-1, *(1,) * (p.ndim - 1)))
 
 
 # ---------------------------------------------------------------------------

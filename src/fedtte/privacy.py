@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import data as datamod
 from . import nn
 from .model import EDGE_INDEXED_TABLES
 
@@ -61,11 +62,18 @@ def noise_params(params: nn.ParamSet, cfg: DpConfig, rng: np.random.Generator | 
         return nn.clone_params(params)
     if rng is None:
         rng = nn.spawn_rng(cfg.seed, "dp")
-    scale = cfg.scale
+    # One clamp and one draw over every coordinate in sorted-name order, split
+    # back into tensors: the generator yields the same variates as one draw
+    # per tensor in that order.
+    names = sorted(params)
+    flat = np.concatenate([np.ravel(params[name]) for name in names])
+    noisy = np.clip(flat, -cfg.clip_bound, cfg.clip_bound) + rng.laplace(0.0, cfg.scale, size=flat.size)
     out: nn.ParamSet = {}
-    for name in sorted(params):
-        clamped = np.clip(params[name], -cfg.clip_bound, cfg.clip_bound)
-        out[name] = clamped + rng.laplace(0.0, scale, size=params[name].shape)
+    offset = 0
+    for name in names:
+        size = params[name].size
+        out[name] = noisy[offset : offset + size].reshape(params[name].shape)
+        offset += size
     return out
 
 
@@ -127,6 +135,7 @@ def risk_eval(
     start_values: nn.ParamSet | None = None,
     schedule=None,
     holidays: frozenset = frozenset(),
+    records: list | None = None,
 ) -> list[AttackReport]:
     """Train one day at one epsilon and attack every upload of its first rounds.
 
@@ -136,12 +145,14 @@ def risk_eval(
     global model delivered before the round. Skipped instants advance the
     round index exactly as in training. start_values, when given, seeds the
     server with a previously trained checkpoint instead of a fresh
-    initialization.
+    initialization. records, when given, are the world's day-0 trajectories
+    (data.sample_trajectories(world, 0)), sampled once for several
+    simulations; each simulation builds fresh clients from them.
     """
     from . import federated as fed  # runtime import: federated depends on this module
 
     cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
-    pool = fed.build_clients(world, days=1)
+    pool = fed.clients_from_records(world, records if records is not None else datamod.sample_trajectories(world, 0))
     server = fed.init_server(world.network, model_cfg, cfg, schedule)
     if start_values is not None:
         nn.assert_congruent(server.global_params.values, start_values)
@@ -182,12 +193,13 @@ def risk_sweep(
     one per attacked upload, then an "all" row with the epsilon's mean."""
     rows: list[dict] = []
     means: dict[float, float] = {}
+    records = datamod.sample_trajectories(world, 0)
     for eps in epsilons:
         risks = []
         for seed in seeds:
             for report in risk_eval(
                 world, eps, fed_config=fed_config, model_cfg=model_cfg, rounds=rounds, k=k, seed=seed,
-                start_values=start_values, schedule=schedule, holidays=holidays,
+                start_values=start_values, schedule=schedule, holidays=holidays, records=records,
             ):
                 rows.append(
                     {"epsilon": _fmt_eps(eps), "seed": str(seed), "client_id": report.client_id, "k": str(k), "risk": repr(report.risk)}

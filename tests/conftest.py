@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -106,3 +107,27 @@ def small_world():
         seed=11,
     )
     return data.generate_world(spec)
+
+
+def stack(param_sets):
+    """Clients' tensors stacked on a leading client axis, as training steps them."""
+    return {name: np.stack([values[name] for values in param_sets]) for name in param_sets[0]}
+
+
+def base_loss_one(network, params, route, y, holidays=frozenset()):
+    """model.base_loss for one client: the C = 1 stack, unstacked again."""
+    losses, grads = model.base_loss(network, params, stack([params.values]), [(route, y)], holidays)
+    return float(losses[0]), {name: g[0] for name, g in grads.items()}
+
+
+def shared_base_loss(network, params, batch, holidays=frozenset()):
+    """fn(values, _) for nn.check_gradients over one model's tensors: the summed
+    loss of one or more routes under that model, each route stepped as a
+    client holding a copy of it, and the summed gradients."""
+
+    def fn(values, _):
+        stacked = {k: np.broadcast_to(v, (len(batch), *v.shape)) for k, v in values.items()}
+        losses, grads = model.base_loss(network, params, stacked, batch, holidays)
+        return float(losses.sum()), {k: g.sum(axis=0) for k, g in grads.items()}
+
+    return fn

@@ -21,6 +21,8 @@ from fedtte.harness import (
 )
 from fedtte.privacy import DpConfig
 
+from conftest import shared_base_loss
+
 EPS_GRID = (math.inf, 100.0, 10.0, 1.0, 0.1)
 
 ORACLE_WORLD = data.WorldSpec(
@@ -82,10 +84,9 @@ def test_c01_gradient_integrity(tiny_world, tiny_cfg):
         base = model.init_base_params(net, tiny_cfg, seed=s)
         idx = rng.choice(len(recs), size=2, replace=False)
         batch = [(recs[i].route, recs[i].y) for i in idx]
-
-        def base_fn(values, _):
-            return model.base_loss(net, base.with_values(values), batch)
-
+        # the batch's loss under one model: each route is stepped as a client
+        # holding a copy of it, and the clients' losses and gradients are summed
+        base_fn = shared_base_loss(net, base, batch)
         worst_base = max(worst_base, nn.check_gradients(base_fn, base.values, None, eps=1e-5))
 
         pers = model.init_personal_params(tiny_world.grid.n_cells, net.n_edges, tiny_cfg, seed=s)

@@ -171,6 +171,15 @@ def test_no_subcommand_exits_nonzero(capsys):
     capsys.readouterr()
 
 
+def test_train_rejects_a_schedule_band_with_too_many_instants(tmp_path, capsys):
+    # 24e9 instants a day would make the run hang building the schedule
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT + "\n[schedule]\nbands = 0-24:1e-9\n")
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "[schedule] bands" in err and "0.0-24.0" in err and "86400" in err
+
+
 def test_generate_requires_out(capsys):
     assert cli.main(["generate"]) == 1
     assert "error" in capsys.readouterr().err
@@ -194,9 +203,9 @@ def test_attack_reads_the_uploads_training_makes_under_the_configured_schedule(t
     client_update = federated.client_update
 
     def recording_update(*args, **kwargs):
-        upload, n_m = client_update(*args, **kwargs)
-        attacked.append(nn.params_digest(upload))
-        return upload, n_m
+        results = client_update(*args, **kwargs)
+        attacked.extend(nn.params_digest(upload) for upload, _ in results)
+        return results
 
     monkeypatch.setattr(federated, "client_update", recording_update)
     assert cli.main(["attack", "--config", str(path), "--epsilon", "1"]) == 0

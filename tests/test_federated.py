@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import data, federated, model, nn
+from fedtte import data, federated, model, nn, privacy
 from fedtte.data import TrajectoryRecord
 from fedtte.federated import (
     AggregationSchedule,
@@ -26,6 +26,8 @@ from fedtte.federated import (
     run_round,
     select_clients,
 )
+
+from conftest import base_loss_one
 
 
 # ---------------------------------------------------------------- schedule
@@ -155,7 +157,7 @@ def test_client_update_lr_zero_no_noise_returns_global(tiny_cfg):
     client = build_clients(world)[0]
     global_params = model.init_base_params(world.network, tiny_cfg, seed=0)
     cfg = FederatedConfig(clients_per_round=1, local_epochs=3, base_lr=0.0, dp_epsilon=math.inf)
-    upload, n_m = client_update(client, global_params, cfg, _full_day())
+    [(upload, n_m)] = client_update([client], global_params, cfg, _full_day())
     assert n_m == len(client.trajectories)
     for name in global_params.values:
         assert np.array_equal(upload[name], global_params.values[name])
@@ -168,12 +170,12 @@ def test_client_update_single_trajectory_matches_hand_step(tiny_cfg):
     global_params = model.init_base_params(world.network, tiny_cfg, seed=1)
     lr = 1e-6
     cfg = FederatedConfig(clients_per_round=1, local_epochs=1, base_lr=lr, dp_epsilon=math.inf)
-    upload, n_m = client_update(client, global_params, cfg, _full_day())
+    [(upload, n_m)] = client_update([client], global_params, cfg, _full_day())
     assert n_m == 1
 
     rec = client.trajectories[0]
-    _, grads = model.base_loss(world.network, global_params, [(rec.route, rec.y)])
-    expected = nn.sgd_step(global_params.values, grads, lr)
+    _, grads = base_loss_one(world.network, global_params, rec.route, rec.y)
+    expected = {k: v - lr * grads[k] for k, v in global_params.values.items()}
     for name in expected:
         assert np.array_equal(upload[name], expected[name]), name
 
@@ -190,13 +192,13 @@ def test_client_update_trains_on_the_holiday_context(tiny_cfg):
     global_params = model.init_base_params(world.network, tiny_cfg, seed=1)
     lr = 1e-6
     cfg = FederatedConfig(clients_per_round=1, local_epochs=1, base_lr=lr, dp_epsilon=math.inf)
-    upload, _ = client_update(client, global_params, cfg, _full_day(), holidays=holidays)
+    [(upload, _)] = client_update([client], global_params, cfg, _full_day(), holidays=holidays)
 
-    _, grads = model.base_loss(world.network, global_params, [(rec.route, rec.y)], holidays)
-    expected = nn.sgd_step(global_params.values, grads, lr)
+    _, grads = base_loss_one(world.network, global_params, rec.route, rec.y, holidays)
+    expected = {k: v - lr * grads[k] for k, v in global_params.values.items()}
     for name in expected:
         assert np.array_equal(upload[name], expected[name]), name
-    plain, _ = client_update(client, global_params, cfg, _full_day())
+    [(plain, _)] = client_update([client], global_params, cfg, _full_day())
     assert nn.params_digest(plain) != nn.params_digest(upload)
 
 
@@ -207,7 +209,7 @@ def test_client_update_empty_window_rejected(tiny_cfg):
     cfg = FederatedConfig()
     empty = (datetime(2030, 1, 1), datetime(2030, 1, 2))
     with pytest.raises(ValueError):
-        client_update(client, global_params, cfg, empty)
+        client_update([client], global_params, cfg, empty)
 
 
 def test_client_update_stores_localized_copy(tiny_cfg):
@@ -215,7 +217,7 @@ def test_client_update_stores_localized_copy(tiny_cfg):
     client = build_clients(world)[0]
     global_params = model.init_base_params(world.network, tiny_cfg, seed=0)
     cfg = FederatedConfig(local_epochs=1, base_lr=1e-6, dp_epsilon=math.inf)
-    upload, _ = client_update(client, global_params, cfg, _full_day())
+    [(upload, _)] = client_update([client], global_params, cfg, _full_day())
     assert client.localized_global is not None
     for name in upload:
         assert np.array_equal(client.localized_global.values[name], upload[name])
@@ -347,8 +349,8 @@ def test_run_round_identical_clients_equal_centralized_sgd(tiny_cfg):
     )
     values = central.global_params.values
     for route, y in batch:
-        _, grads = model.base_loss(world.network, central.global_params.with_values(values), [(route, y)])
-        values = nn.sgd_step(values, grads, cfg.base_lr)
+        _, grads = base_loss_one(world.network, central.global_params.with_values(values), route, y)
+        values = {k: v - cfg.base_lr * grads[k] for k, v in values.items()}
     for name in values:
         assert np.allclose(new_global.values[name], values[name], atol=1e-12), name
 
@@ -495,9 +497,18 @@ def _pool_with_personal_models(world, tiny_cfg, counts):
     return pool
 
 
+def _reference_step_ok(loss, grads, lr):
+    """The single-client step check: a finite loss, and no coordinate moved
+    further than the cap; a zero-size tensor moves nothing."""
+    if not math.isfinite(loss):
+        return False
+    return all(not g.size or lr * float(np.abs(g).max()) <= federated._MAX_STEP for g in grads.values())
+
+
 def _reference_fine_tune(client, cfg):
     """One client's personal SGD written out per pair: one pair per step,
-    _step_ok, then p - lr * g. Returns the tensors and the skipped steps."""
+    the single-client step check, then p - lr * g. Returns the tensors and the
+    skipped steps."""
     states, pairs = {}, []
     for traj in sorted(client.trajectories, key=lambda t: (t.departure, t.y)):
         ctx = model.TimeContext.from_datetime(traj.departure, client.localized_global.cfg.time_slots)
@@ -525,7 +536,7 @@ def _reference_fine_tune(client, cfg):
                 np.add.at(g["p.edge"], edges, d_xu[block : 2 * block].reshape(-1, dim))
                 g["p.dense.w"] += np.outer(x_dense, d_xu[2 * block :])
                 g["p.dense.b"] += d_xu[2 * block :]
-                if federated._step_ok(0.0 + r * r, g, cfg.personal_lr):
+                if _reference_step_ok(0.0 + r * r, g, cfg.personal_lr):
                     v = {k: v[k] - cfg.personal_lr * g[k] for k in v}
                 else:
                     skipped += 1
@@ -575,3 +586,146 @@ def test_fine_tune_client_independent_of_pool(tiny_world, tiny_cfg, order):
     fine_tune_personal(subset, cfg)
     for client in subset:
         _assert_same_bytes(client.personal.values, alone[client.client_id])
+
+
+# ---------------------------------------------------------------- lockstep local training
+# client_update steps a round's clients in lockstep on (C, ...) stacks; these
+# tests certify it against each client trained alone with the single-client
+# arithmetic: a C = 1 base_loss per trajectory, the scalar step check, and
+# p - lr * g.
+
+_LOCKSTEP_CFG = model.ModelConfig(embed_dim=4, head_width=4, time_slots=8, holiday_dim=2, output_scale=10.0)
+_LOCKSTEP_WORLDS = {
+    # 34 edges: every field is the whole graph
+    "3x4": data.generate_world(data.WorldSpec(
+        grid_rows=3, grid_cols=4, n_drivers=5, trips_per_day=6, time_slots=8, seed=11,
+    )),
+    # 360 edges: the clients run on their own strict fields, padded to one width
+    "10x10": data.generate_world(data.WorldSpec(
+        grid_rows=10, grid_cols=10, n_drivers=5, trips_per_day=4, time_slots=8, seed=1010,
+    )),
+}
+_DAY0 = (datetime(2024, 1, 1), datetime(2024, 1, 2))
+
+
+def _reference_client_update(client, global_params, cfg, window, round_index, holidays):
+    """One client's local training alone: returns its trained tensors, its
+    upload and the number of steps it skipped."""
+    batch = sorted(client.in_window(*window), key=lambda t: (t.departure, t.y))
+    values = nn.clone_params(global_params.values)
+    skipped = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            for traj in batch:
+                loss, grads = base_loss_one(client.network, global_params.with_values(values), traj.route, traj.y, holidays)
+                if _reference_step_ok(loss, grads, cfg.base_lr):
+                    values = {k: v - cfg.base_lr * grads[k] for k, v in values.items()}
+                else:
+                    skipped += 1
+    dp = privacy.DpConfig(epsilon=cfg.dp_epsilon, clip_bound=cfg.dp_clip, seed=cfg.seed)
+    upload = privacy.noise_params(values, dp, rng=nn.spawn_rng(cfg.seed, "dp", client.client_id, round_index))
+    return values, upload, skipped
+
+
+def _lockstep_setup(world_name, layers_hops, counts, diverge, negative_zeros, seed):
+    """A global model and fresh clients of the named world, client i holding
+    its first counts[i] day-0 trajectories; with diverge, the first client's
+    first trajectory is off by 1e7 s, so its steps on it are skipped."""
+    world = _LOCKSTEP_WORLDS[world_name]
+    layers, hops = layers_hops
+    global_params = model.init_base_params(world.network, replace(_LOCKSTEP_CFG, gcn_layers=layers, hops=hops), seed)
+    if negative_zeros:
+        # rows no route reads keep -0.0 only if their gradient is +0.0
+        for name in ("embed_e.identity", "head_e.b", "embed_v.identity", "gcn_e.l0.theta"):
+            global_params.values[name][::2] = -0.0
+    pool = build_clients(world)
+    clients = []
+    for client, count in zip(pool, counts):
+        trajs = sorted(client.trajectories, key=lambda t: (t.departure, t.y))[:count]
+        clients.append(ClientState(client_id=client.client_id, network=world.network, trajectories=trajs))
+    if diverge:
+        first = clients[0].trajectories[0]
+        clients[0].trajectories[0] = replace(first, y=first.y + 1e7)
+    return global_params, clients
+
+
+def _assert_same_bytes_params(a, b):
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes(), name
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    world_name=st.sampled_from(sorted(_LOCKSTEP_WORLDS)),
+    layers_hops=st.sampled_from([(1, 2), (2, 1), (2, 2)]),
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    holiday=st.booleans(),
+    diverge=st.booleans(),
+    negative_zeros=st.booleans(),
+    epsilon=st.sampled_from([math.inf, 10.0]),
+    seed=st.integers(0, 3),
+)
+def test_lockstep_client_update_matches_per_client_reference(
+    world_name, layers_hops, counts, holiday, diverge, negative_zeros, epsilon, seed
+):
+    global_params, clients = _lockstep_setup(world_name, layers_hops, counts, diverge, negative_zeros, seed)
+    holidays = frozenset({_DAY0[0].date()}) if holiday else frozenset()
+    cfg = FederatedConfig(local_epochs=2, base_lr=1e-6, dp_epsilon=epsilon, seed=seed)
+    expected = [_reference_client_update(c, global_params, cfg, _DAY0, 7, holidays) for c in clients]
+    if diverge:
+        assert expected[0][2] >= cfg.local_epochs
+    before = nn.clone_params(global_params.values)
+    results = client_update(clients, global_params, cfg, _DAY0, 7, holidays)
+    assert [n_m for _, n_m in results] == [len(c.trajectories) for c in clients]
+    for client, (upload, _), (values, expected_upload, _) in zip(clients, results, expected):
+        _assert_same_bytes_params(client.localized_global.values, values)
+        _assert_same_bytes_params(upload, expected_upload)
+    _assert_same_bytes_params(global_params.values, before)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1], [1], [2, 0]])
+def test_lockstep_client_independent_of_the_other_chosen_clients(order):
+    cfg = FederatedConfig(local_epochs=2, base_lr=1e-6, dp_epsilon=10.0, seed=3)
+    alone = {}
+    for i in range(3):
+        global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, False, 0)
+        [(upload, _)] = client_update([clients[i]], global_params, cfg, _DAY0, 2)
+        alone[clients[i].client_id] = (upload, clients[i].localized_global.values)
+    global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, False, 0)
+    chosen = [clients[i] for i in order]
+    for client, (upload, _) in zip(chosen, client_update(chosen, global_params, cfg, _DAY0, 2)):
+        expected_upload, expected_values = alone[client.client_id]
+        _assert_same_bytes_params(upload, expected_upload)
+        _assert_same_bytes_params(client.localized_global.values, expected_values)
+
+
+def test_client_update_gives_each_client_its_own_localized_copy(tiny_world, tiny_cfg):
+    global_params = model.init_base_params(tiny_world.network, tiny_cfg, seed=0)
+    clients = build_clients(tiny_world)
+    client_update(clients, global_params, FederatedConfig(base_lr=1e-6), _DAY0)
+    # a view into the training stack would keep every client's tensors alive
+    for client in clients:
+        for name, v in client.localized_global.values.items():
+            assert v.base is None, (client.client_id, name)
+
+
+def test_steps_ok_passes_zero_size_tensors():
+    grads = {"num_proj_v.w": np.zeros((2, 0, 4)), "b": np.array([[0.5], [np.nan]])}
+    assert federated._steps_ok(np.array([1.0, 1.0]), grads, 1.0).tolist() == [True, False]
+    assert federated._steps_ok(np.array([np.inf, 1.0]), {"num_proj_v.w": np.zeros((2, 0, 4))}, 1.0).tolist() == [False, True]
+
+
+def test_client_update_on_a_network_without_numeric_node_columns(tiny_world, tiny_cfg):
+    # num_proj_v.w is then (0, d), and every step checks it
+    network = replace(tiny_world.network, node_numeric=np.zeros((tiny_world.network.n_nodes, 0)))
+    global_params = model.init_base_params(network, tiny_cfg, seed=0)
+    assert global_params.values["num_proj_v.w"].shape == (0, tiny_cfg.embed_dim)
+    clients = build_clients(tiny_world)
+    for client in clients:
+        client.network = network
+    cfg = FederatedConfig(local_epochs=1, base_lr=1e-6)
+    results = client_update(clients, global_params, cfg, _DAY0)
+    assert [n for _, n in results] == [len(c.trajectories) for c in clients]
+    moved = [not np.array_equal(c.localized_global.values["head_e.w"], global_params.values["head_e.w"]) for c in clients]
+    assert all(moved)

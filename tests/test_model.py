@@ -15,7 +15,7 @@ from fedtte import data, graph, model, nn
 from fedtte.graph import Route
 from fedtte.model import ModelConfig, TimeContext, TrafficState
 
-from conftest import make_edge, make_node, make_path_network
+from conftest import base_loss_one, make_edge, make_node, make_path_network, shared_base_loss, stack
 
 MIDNIGHT = datetime(2024, 1, 1, 0, 0)
 
@@ -47,7 +47,7 @@ def test_embed_features_reduces_to_slot_lookup(tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=0)
     # silence everything except the road_type slot table
     zero_all(params, ["num_proj_e.w", "num_proj_e.b", "embed_e.identity", "embed_e.slot1"])
-    he, _ = model._embed_side(net, params, "e")
+    he = model._embed_side(net, params, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
     table = params.values["embed_e.slot0"]
     for pos, e in enumerate(net.edges):
         assert np.array_equal(he[pos], table[e.categorical[0]])
@@ -61,7 +61,7 @@ def test_embed_features_identical_features_identical_rows(tiny_cfg):
     net = graph.build_network(nodes, edges)
     params = model.init_base_params(net, tiny_cfg, seed=1)
     zero_all(params, ["embed_e.identity"])
-    he, _ = model._embed_side(net, params, "e")
+    he = model._embed_side(net, params, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
     assert np.array_equal(he[0], he[1])
 
 
@@ -75,8 +75,9 @@ def gcn(lap, h, w, theta):
         cfg=cfg, values={"gcn_e.l0.w": w, "gcn_e.l0.theta": theta},
         edge_num_mean=unused, edge_num_std=unused, node_num_mean=unused, node_num_std=unused,
     )
-    out, _ = model._gcn_stack_forward(lap, h, params, "e")
-    return out
+    field = model._Field(rows=slice(None), valid=None, laplacian=lap, n_total=len(lap))
+    out, _ = model._gcn_stack_forward(field, h[None], params, stack([params.values]), "e")
+    return out[0]
 
 
 def test_gcn_zero_hops_identity_weight_nonnegative_input():
@@ -270,7 +271,7 @@ def test_base_loss_perfect_prediction_zero_gradients(tiny_world, tiny_cfg):
     (route, _), = _world_batch(tiny_world, 1)
     ctx = TimeContext.from_datetime(route.departure_time, tiny_cfg.time_slots)
     y = model.predict_route(model.traffic_state(net, params, [ctx])[ctx], route)
-    loss, grads = model.base_loss(net, params, [(route, y)])
+    loss, grads = base_loss_one(net, params, route, y)
     assert loss == 0.0
     for name, g in grads.items():
         assert np.array_equal(g, np.zeros_like(g)), name
@@ -286,8 +287,8 @@ def test_base_loss_near_zero_at_served_targets(tiny_world, tiny_cfg):
         (r, model.predict_route(model.traffic_state(net, params, [ctx_of(r)])[ctx_of(r)], r))
         for r, _ in _world_batch(tiny_world, 2)
     ]
-    loss, grads = model.base_loss(net, params, batch)
-    assert loss < 1e-24
+    losses, grads = model.base_loss(net, params, stack([params.values] * len(batch)), batch)
+    assert losses.sum() < 1e-24
     for g in grads.values():
         assert np.abs(g).max() < 1e-9
 
@@ -297,7 +298,7 @@ def test_base_loss_zero_model_squared_target(tiny_world, tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=3)
     zero_all(params, ["head_e.w", "head_e.b", "head_v.w", "head_v.b"])
     (route, _), = _world_batch(tiny_world, 1)
-    loss, _ = model.base_loss(net, params, [(route, 3.0)])
+    loss, _ = base_loss_one(net, params, route, 3.0)
     assert loss == 9.0
 
 
@@ -305,7 +306,7 @@ def test_base_loss_gradients_touch_only_base_tensors(tiny_world, tiny_cfg):
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=4)
     batch = _world_batch(tiny_world, 2)
-    _, grads = model.base_loss(net, params, batch)
+    _, grads = model.base_loss(net, params, stack([params.values] * len(batch)), batch)
     assert sorted(grads) == sorted(params.values)
     assert not any(name.startswith("p.") for name in grads)
 
@@ -314,11 +315,7 @@ def test_base_loss_finite_difference(tiny_world, tiny_cfg):
     net = tiny_world.network
     base = model.init_base_params(net, tiny_cfg, seed=8)
     batch = _world_batch(tiny_world, 2)
-
-    def fn(values, _):
-        return model.base_loss(net, base.with_values(values), batch)
-
-    err = nn.check_gradients(fn, base.values, None, eps=1e-5)
+    err = nn.check_gradients(shared_base_loss(net, base, batch), base.values, None, eps=1e-5)
     assert err < 1e-4
 
 
@@ -342,10 +339,10 @@ GRID_10 = _grid_world(10, 10)
 GRID_10_ROUTES = [t.route for t in data.sample_trajectories(GRID_10, 0)]
 
 
-def _whole_graph_loss(net, params, batch, holidays=frozenset()):
+def _whole_graph_loss(net, params, values, batch, holidays=frozenset()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_receptive_field", lambda network, cfg, routes: model._whole_graph(network))
-        return model.base_loss(net, params, batch, holidays)
+        return model.base_loss(net, params, values, batch, holidays)
 
 
 @st.composite
@@ -368,12 +365,15 @@ def _batches(draw):
 @settings(max_examples=30, deadline=None)
 @given(batch=_batches(), seed=st.integers(0, 3), holiday=st.booleans())
 def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed, holiday):
+    # one route per client, each client with its own model: the step's field is
+    # the union of the routes' fields
     net = GRID_10.network
     params = model.init_base_params(net, cfg, seed)
+    values = stack([model.init_base_params(net, cfg, seed + c).values for c in range(len(batch))])
     holidays = frozenset({MIDNIGHT.date()}) if holiday else frozenset()
-    loss, grads = model.base_loss(net, params, batch, holidays)
-    whole_loss, whole_grads = _whole_graph_loss(net, params, batch, holidays)
-    assert loss == whole_loss
+    loss, grads = model.base_loss(net, params, values, batch, holidays)
+    whole_loss, whole_grads = _whole_graph_loss(net, params, values, batch, holidays)
+    assert loss.tobytes() == whole_loss.tobytes()
     assert sorted(grads) == sorted(whole_grads)
     for name in grads:
         assert grads[name].tobytes() == whole_grads[name].tobytes(), name
@@ -383,14 +383,14 @@ def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed
 def test_receptive_field_is_a_strict_subset_on_a_grid(cfg):
     net = GRID_10.network
     field_e, field_v = model._receptive_field(net, cfg, GRID_10_ROUTES[:1])
-    assert not field_e.whole and 0 < len(field_e.rows) < net.n_edges / 2
-    assert not field_v.whole and len(field_v.rows) < net.n_nodes / 2
+    assert not field_e.whole and 0 < len(field_e.rows[0]) < net.n_edges / 2
+    assert not field_v.whole and len(field_v.rows[0]) < net.n_nodes / 2
     # the field grows with the radius gcn_layers * hops, not with hops alone
     narrower, _ = model._receptive_field(net, replace(cfg, gcn_layers=1, hops=cfg.gcn_layers * cfg.hops - 1), GRID_10_ROUTES[:1])
-    assert len(narrower.rows) < len(field_e.rows)
+    assert len(narrower.rows[0]) < len(field_e.rows[0])
     # a single-edge route reads no node, so its node field is empty
     _, empty = model._receptive_field(net, _GRID_CFG, [route_of([("e", 0)])])
-    assert not empty.whole and len(empty.rows) == 0
+    assert not empty.whole and len(empty.rows[0]) == 0
 
 
 def _two_edge_route(world):
@@ -405,11 +405,7 @@ def test_base_loss_on_the_field_finite_difference(tiny_cfg):
     field_e, field_v = model._receptive_field(net, tiny_cfg, [route])
     assert not field_e.whole and not field_v.whole
     base = model.init_base_params(net, tiny_cfg, seed=8)
-    batch = [(route, 30.0)]
-
-    def fn(values, _):
-        return model.base_loss(net, base.with_values(values), batch)
-
+    fn = shared_base_loss(net, base, [(route, 30.0)])
     assert nn.check_gradients(fn, base.values, None, eps=1e-5) < 1e-4
 
 
@@ -426,11 +422,41 @@ def test_base_loss_on_a_two_layer_field_finite_difference(tiny_cfg):
     # differences are dominated by the loss curvature unless the error is small,
     # so the target sits one second off the prediction.
     batch = [(route, model.predict_route(model.traffic_state(net, base, [ctx])[ctx], route) + 1.0)]
-
-    def fn(values, _):
-        return model.base_loss(net, base.with_values(values), batch)
-
+    fn = shared_base_loss(net, base, batch)
     assert nn.check_gradients(fn, base.values, None, eps=1e-4) < 1e-4
+
+
+def test_stacked_base_loss_on_strict_fields_finite_difference(tiny_cfg):
+    # three clients with their own models and routes on a 25-node chain: each
+    # runs on its own strict field, padded to the widest (the first route sits
+    # at the chain's end, so its field is narrower)
+    cfg = replace(tiny_cfg, hops=1, embed_dim=2, head_width=2)
+    net = make_path_network(25)
+    routes = [route_of([("e", e), ("v", e + 1), ("e", e + 1)], departure=MIDNIGHT.replace(hour=h)) for e, h in ((0, 8), (10, 9), (20, 8))]
+    field_e, field_v = model._receptive_field(net, cfg, routes)
+    assert not field_e.whole and not field_v.whole
+    assert not field_e.valid.all()
+    base = model.init_base_params(net, cfg, seed=4)
+    values = stack([model.init_base_params(net, cfg, seed=s).values for s in (4, 5, 6)])
+    batch = []
+    for c, route in enumerate(routes):
+        ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots)
+        client = base.with_values({k: v[c] for k, v in values.items()})
+        batch.append((route, model.predict_route(model.traffic_state(net, client, [ctx])[ctx], route) + 1.0))
+
+    def summed(values, _):
+        # client c's loss reads only slice c, so the sum's gradient there is its own
+        losses, grads = model.base_loss(net, base, values, batch)
+        return float(losses.sum()), grads
+
+    assert nn.check_gradients(summed, values, None, eps=1e-5) < 1e-4
+    # each client's slice equals its C = 1 result
+    losses, grads = model.base_loss(net, base, values, batch)
+    for c, (route, y) in enumerate(batch):
+        loss, one = base_loss_one(net, base.with_values({k: v[c] for k, v in values.items()}), route, y)
+        assert losses[c] == loss
+        for name in one:
+            assert grads[name][c].tobytes() == one[name].tobytes(), name
 
 
 def test_base_loss_gradient_rows_outside_the_field_are_positive_zero():
@@ -438,13 +464,13 @@ def test_base_loss_gradient_rows_outside_the_field_are_positive_zero():
     params = model.init_base_params(net, _GRID_CFG, seed=2)
     route = GRID_10_ROUTES[0]
     field_e, _ = model._receptive_field(net, _GRID_CFG, [route])
-    _, grads = model.base_loss(net, params, [(route, 500.0)])
-    outside = np.setdiff1d(np.arange(net.n_edges), field_e.rows)
+    _, grads = base_loss_one(net, params, route, 500.0)
+    outside = np.setdiff1d(np.arange(net.n_edges), field_e.rows[0])
     assert outside.size
     for name in ("embed_e.identity", "head_e.b"):
         rows = grads[name][outside]
         assert np.all(rows == 0.0) and not np.any(np.signbit(rows)), name
-    assert np.any(grads["embed_e.identity"][field_e.rows] != 0.0)
+    assert np.any(grads["embed_e.identity"][field_e.rows[0]] != 0.0)
 
 
 # ---------------------------------------------------------------- personal model
@@ -591,7 +617,7 @@ def test_personal_sgd_recovers_least_squares_slope(tiny_cfg):
             x = (prof.break_start_h - mean[0]) / std[0]
             batch = [(100.0 + slope * x, 100.0)]
             _, grads = _personal_loss_one(prof, params, batch)
-            params.values = nn.sgd_step(params.values, grads, lr=1e-3)
+            params.values = {k: v - 1e-3 * grads[k] for k, v in params.values.items()}
     for prof in profiles:
         x = (prof.break_start_h - mean[0]) / std[0]
         assert model.personal_bias(prof, params) == pytest.approx(slope * x, abs=0.1)

@@ -32,9 +32,9 @@ def _embed_side_v(numeric, junction_types, values):
     params = replace(params, node_num_mean=np.zeros(2), node_num_std=np.ones(2))
     for name in ("embed_v.identity", "embed_v.slot0", "embed_v.slot1", "embed_v.slot2", "num_proj_v.w", "num_proj_v.b"):
         params.values[name] = values.get(name, np.zeros_like(params.values[name]))
-    h, x_std = model._embed_side(net, params, "v")
+    h, x_std = model._embed_side(net, params, {k: v[None] for k, v in params.values.items()}, "v", model._whole_graph(net)[1])
     assert np.array_equal(x_std[:n], numeric)
-    return h[:n]
+    return h[0, :n]
 
 
 def _projection(x, w, b):
@@ -143,33 +143,50 @@ def test_softmax_sums_to_one_and_shift_invariant(logits, shift):
 
 # ---------------------------------------------------------------- sgd
 
+def _sgd(params, grads, lr):
+    """nn.sgd_step on the C = 1 stack of one ParamSet, returning the new values
+    and leaving the inputs as they were."""
+    values = {k: v[None].copy() for k, v in params.items()}
+    nn.sgd_step(values, {k: g[None].copy() for k, g in grads.items()}, lr, np.array([True]))
+    return {k: v[0] for k, v in values.items()}
+
+
 def test_sgd_lr_zero_is_identity():
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.array([10.0, -4.0])}
-    out = nn.sgd_step(params, grads, lr=0.0)
+    out = _sgd(params, grads, lr=0.0)
     assert np.array_equal(out["w"], params["w"])
 
 
 def test_sgd_single_step_arithmetic():
-    out = nn.sgd_step({"p": np.array([1.0])}, {"p": np.array([1.0])}, lr=0.1)
+    out = _sgd({"p": np.array([1.0])}, {"p": np.array([1.0])}, lr=0.1)
     assert np.allclose(out["p"], [0.9], atol=1e-15)
 
 
 def test_sgd_two_steps_on_quadratic():
     # f(p) = p^2, grad = 2p, lr = 0.5: p=1 -> 0 -> 0
     p = {"p": np.array([1.0])}
-    p = nn.sgd_step(p, {"p": 2.0 * p["p"]}, lr=0.5)
+    p = _sgd(p, {"p": 2.0 * p["p"]}, lr=0.5)
     assert p["p"][0] == 0.0
-    p = nn.sgd_step(p, {"p": 2.0 * p["p"]}, lr=0.5)
+    p = _sgd(p, {"p": 2.0 * p["p"]}, lr=0.5)
     assert p["p"][0] == 0.0
 
 
 def test_sgd_deterministic():
     params = {"w": np.linspace(0, 1, 6).reshape(2, 3)}
     grads = {"w": np.full((2, 3), 0.25)}
-    a = nn.sgd_step(params, grads, lr=0.01)
-    b = nn.sgd_step(params, grads, lr=0.01)
+    a = _sgd(params, grads, lr=0.01)
+    b = _sgd(params, grads, lr=0.01)
     assert np.array_equal(a["w"], b["w"])
+
+
+def test_sgd_step_updates_only_the_clients_that_take_it():
+    values = {"w": np.array([[1.0, -0.0], [2.0, 3.0], [4.0, 5.0]]), "b": np.array([1.0, 2.0, 3.0])}
+    grads = {"w": np.array([[0.5, 0.0], [1.0, 1.0], [1.0, 1.0]]), "b": np.array([1.0, 1.0, np.nan])}
+    nn.sgd_step(values, grads, 0.5, np.array([True, False, False]))
+    assert values["w"].tolist() == [[0.75, -0.0], [2.0, 3.0], [4.0, 5.0]]
+    assert np.signbit(values["w"][0, 1])  # p - lr * (+0.0) keeps a -0.0 parameter
+    assert values["b"].tolist() == [0.5, 2.0, 3.0]
 
 
 # ---------------------------------------------------------------- gradient checking

@@ -64,6 +64,25 @@ def test_noise_insensitive_to_dict_insertion_order():
         assert np.array_equal(out1[k], out2[k])
 
 
+def test_noise_is_one_draw_equal_to_a_draw_per_tensor():
+    # one clamp and one Laplace draw over every coordinate in sorted-name
+    # order, split back, give the bytes of a clamp and a draw per tensor
+    cfg = DpConfig(epsilon=0.5, clip_bound=0.75)
+    rng = np.random.default_rng(9)
+    params = {
+        "b.scalar": np.array(-0.0),
+        "a.table": rng.normal(size=(5, 3)) * 2.0,
+        "c.empty": np.zeros((0, 4)),
+        "d.vector": np.array([-0.0, 0.0, 3.0, -3.0]),
+    }
+    out = privacy.noise_params(params, cfg, rng=nn.spawn_rng(1, "dp"))
+    reference_rng = nn.spawn_rng(1, "dp")
+    for name in sorted(params):
+        clamped = np.clip(params[name], -cfg.clip_bound, cfg.clip_bound)
+        expected = clamped + reference_rng.laplace(0.0, cfg.scale, size=params[name].shape)
+        assert out[name].shape == params[name].shape and out[name].tobytes() == expected.tobytes(), name
+
+
 def test_dp_config_validation():
     with pytest.raises(ValueError):
         DpConfig(epsilon=0.0)
@@ -201,6 +220,18 @@ def test_risk_sweep_rows_and_aggregates(tiny_world, tmp_path):
     assert len(lines) == len(rows) + 1
 
 
+def test_risk_simulation_independent_of_the_simulations_before_it(tiny_world):
+    # the sweep samples the world's trajectories once and builds fresh clients
+    # for every simulation from them; no simulation may see another's state
+    kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model.ModelConfig(time_slots=4), rounds=2, k=5)
+    _, rows = privacy.risk_sweep(tiny_world, [math.inf, 1.0], seeds=[0, 1], **kwargs)
+    _, alone = privacy.risk_sweep(tiny_world, [1.0], seeds=[1], **kwargs)
+    after = [row for row in rows if row["epsilon"] == "1.0" and row["seed"] == "1"]
+    assert after and after == [row for row in alone if row["seed"] == "1"]
+    fresh = privacy.risk_eval(tiny_world, 1.0, seed=1, **kwargs)
+    assert [repr(r.risk) for r in fresh] == [row["risk"] for row in after]
+
+
 def test_risk_sweep_single_epsilon(tiny_world):
     # one epsilon is a one-row-per-upload sweep plus its "all" row
     kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model.ModelConfig(time_slots=4), rounds=2, k=5)
@@ -229,9 +260,9 @@ def test_attack_reads_the_uploads_training_makes(monkeypatch):
     client_update = federated.client_update
 
     def recording_update(*args, **kwargs):
-        upload, n_m = client_update(*args, **kwargs)
-        attacked.append(nn.params_digest(upload))
-        return upload, n_m
+        results = client_update(*args, **kwargs)
+        attacked.extend(nn.params_digest(upload) for upload, _ in results)
+        return results
 
     monkeypatch.setattr(federated, "client_update", recording_update)
     reports = privacy.risk_eval(world, 1.0, fed_config=fed_cfg, model_cfg=model_cfg, rounds=3, k=3, seed=5)

@@ -27,8 +27,10 @@ clients.
 
 After training, every client fine-tunes its personal residual model against
 its frozen localized global model with plain per-pair SGD, stepped in
-lockstep the same way. Both phases check steps with _steps_ok and update
-with nn.sgd_step.
+lockstep the same way on the clients' working sets: the embedding rows
+their profiles read and their dense tensors, in one flat buffer, so a step
+checks and updates a single tensor. Both phases check steps with _steps_ok
+and update with nn.sgd_step.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .model import (
     TrafficState,
     base_loss,
     init_base_params,
-    personal_inputs,
     personal_loss,
+    personal_working_set,
     predict_route,
     traffic_state,
 )
@@ -455,9 +457,13 @@ def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holiday
 
     Each client runs plain per-pair SGD: personal_epochs passes over its
     (y, y_hat) pairs in chronological order, skipping steps _steps_ok rejects.
-    Step j of an epoch takes pair j of every client that has one, on stacked
-    (C, ...) tensors; no client's result depends on the others. Each localized
-    global model's bytes are digest-guarded: fine-tuning must not alter them.
+    Step j of an epoch takes pair j of every client that has one, on the
+    clients' working sets (model.PersonalWorkingSet): the table rows their
+    profiles read and the dense tensors, in one (C, P) buffer that is checked
+    and updated as one tensor. The whole tables are written back once, after
+    the last epoch; no client's result depends on the others. The localized
+    global models are read-only while this runs, so a write into one fails
+    where it is made.
     """
     for client in pool:
         if client.localized_global is None:
@@ -466,29 +472,36 @@ def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holiday
             raise ValueError(f"client {client.client_id} personal model is not initialized")
         if client.profile is None:
             raise ValueError(f"client {client.client_id} profile has not been extracted")
-        nn.assert_congruent(pool[0].personal.values, client.personal.values)
     if not pool:
         return
-    guards = [nn.params_digest(client.localized_global.values) for client in pool]
-    counts = np.array([client.sample_count for client in pool])
-    batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
-    for c, client in enumerate(pool):
-        n_slots = client.localized_global.cfg.time_slots
-        trajs = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
-        ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajs]
-        states = traffic_state(client.network, client.localized_global, ctxs)
-        for k, (traj, ctx) in enumerate(zip(trajs, ctxs)):
-            batch[c, k] = traj.y, predict_route(states[ctx], traj.route)
-    has_pair = np.arange(batch.shape[1]) < counts[:, None]
-    inputs = personal_inputs([c.profile for c in pool], [c.personal for c in pool])
-    values = {k: np.stack([c.personal.values[k] for c in pool]) for k in pool[0].personal.values}
-    lr = config.personal_lr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.personal_epochs):
-            for j in range(batch.shape[1]):
-                losses, grads = personal_loss(inputs, values, batch[:, j : j + 1])
-                nn.sgd_step(values, grads, lr, has_pair[:, j] & _steps_ok(losses, grads, lr))
-    for c, client in enumerate(pool):
-        client.personal.values = {k: v[c] for k, v in values.items()}
-        if nn.params_digest(client.localized_global.values) != guards[c]:
-            raise RuntimeError(f"fine-tuning altered client {client.client_id}'s frozen localized global model")
+    frozen = [v for client in pool for v in client.localized_global.values.values() if v.flags.writeable]
+    for v in frozen:
+        v.flags.writeable = False
+    try:
+        counts = np.array([client.sample_count for client in pool])
+        batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
+        for c, client in enumerate(pool):
+            n_slots = client.localized_global.cfg.time_slots
+            trajs = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
+            ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajs]
+            states = traffic_state(client.network, client.localized_global, ctxs)
+            for k, (traj, ctx) in enumerate(zip(trajs, ctxs)):
+                batch[c, k] = traj.y, predict_route(states[ctx], traj.route)
+        has_pair = np.arange(batch.shape[1]) < counts[:, None]
+        ws = personal_working_set([c.profile for c in pool], [c.personal for c in pool])
+        values = {"ws": ws.values}
+        lr = config.personal_lr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(config.personal_epochs):
+                for j in range(batch.shape[1]):
+                    losses, grads = personal_loss(ws, batch[:, j : j + 1])
+                    step = {"ws": grads}
+                    nn.sgd_step(values, step, lr, has_pair[:, j] & _steps_ok(losses, step, lr))
+        # One (C, ...) block per tensor: a copy per client would be many
+        # small heap allocations, with which stress peak RSS read 4 MB higher.
+        tables = {k: np.stack([client.personal.values[k] for client in pool]) for k in pool[0].personal.values}
+        for c, client in enumerate(pool):
+            client.personal.values = ws.unpack(ws.values, c, {k: v[c] for k, v in tables.items()})
+    finally:
+        for v in frozen:
+            v.flags.writeable = True

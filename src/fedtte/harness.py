@@ -359,15 +359,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         cid: traffic_state(world.network, by_client[cid].localized_global, [ctx for _, ctx in group])
         for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id)
     }
+    biases = {cid: personal_bias(by_client[cid].profile, by_client[cid].personal) for cid in local_states}
     base_rows: list[tuple[str, float, float]] = []
     glob_rows: list[tuple[str, float, float]] = []
     pers_rows: list[tuple[str, float, float]] = []
     pred_rows: list[dict] = []
     for traj, ctx in zip(ordered, ctxs):
-        client = by_client[traj.driver_id]
         y_init = predict_route(init_states[ctx], traj.route)
         y_hat = predict_route(local_states[traj.driver_id][ctx], traj.route)
-        y_final = predict_final(y_hat, personal_bias(client.profile, client.personal))
+        y_final = predict_final(y_hat, biases[traj.driver_id])
         base_rows.append((traj.driver_id, traj.y, y_init))
         glob_rows.append((traj.driver_id, traj.y, y_hat))
         pers_rows.append((traj.driver_id, traj.y, y_final))

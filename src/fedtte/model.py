@@ -44,8 +44,10 @@ kept as stated for shape fidelity.
 The personal model maps a driver profile (embedded sparse features plus
 linearly transformed standardized dense features) through one linear head to
 a scalar bias in seconds; the final prediction is ``y_hat + bias``. Its loss
-is evaluated for C clients at once, on their tensors stacked along a leading
-client axis; each client's slice is computed exactly as it would be alone.
+is evaluated for C clients at once on their working sets: the embedding
+rows each profile reads and the dense tensors, in one flat (C, P) buffer
+(PersonalWorkingSet). Each client's row is computed exactly as it would be
+alone, and exactly as on the whole tables.
 
 All backward passes are hand-written and certified by nn.check_gradients.
 """
@@ -540,10 +542,12 @@ def base_loss(
     loss is (prediction of its route under values[c] - y)^2 and its gradients
     touch only its own slice. A single client is the case C = 1.
 
-    Forward and backward run on the union of the routes' receptive fields.
-    It holds every route's whole field, so each client's loss and gradients
+    Forward and backward run on each client's own receptive field, padded
+    to the widest client's, or on the whole side where the rows around all
+    the routes are more than half of it (see _side_field). Either holds the
+    route's whole receptive field, so each client's loss and gradients
     equal those of its own whole-graph pass byte for byte, and the rows of
-    edge- and node-indexed gradients outside the field are +0.0.
+    edge- and node-indexed gradients outside its field are +0.0.
     """
     if not batch or len(batch) != len(values["head_e.b"]):
         raise ValueError(f"need one (route, y) per client, got {len(batch)} for {len(values['head_e.b'])}")
@@ -685,50 +689,132 @@ def init_personal_params(
     )
 
 
-@dataclass(frozen=True)
-class PersonalInputs:
-    """C clients' fixed personal-model inputs: profile ids as rows of the
-    client-stacked table viewed as (C * rows, dim), client c's id i being row
-    c * rows + i, and dense features standardized by each client's model."""
+# The personal step runs on each client's working set. A client's loss reads
+# only the 2 * profile_arity table rows its profile names, so only those
+# rows and the dense tensors are held and stepped, and every coordinate
+# comes out as it would on the whole tables, byte for byte:
+# - a distinct row's gradient is the same terms summed in the same input
+#   order: np.bincount adds each weight, in input order, into a +0.0 start,
+#   as the whole-table scatter does, and a coordinate with one weight w
+#   gets 0.0 + w, as the whole-table dense gradients do;
+# - a row no input looks up has gradient +0.0 on the whole tables, and
+#   p - lr * (+0.0) == p for every p, -0.0 included, so leaving the row out
+#   of the step leaves it as the step would;
+# - lr * max|g| over the working set decides as the per-tensor checks over
+#   the whole tables do together: the entries left out are zeros, which
+#   cannot raise a maximum of |g| >= 0, lr >= 0 keeps the largest |g| the
+#   largest step, and a NaN reaches the maximum either way.
+_PERSONAL_TABLES = (("p.region", "top_regions"), ("p.edge", "top_edges"))
 
-    region_rows: np.ndarray
-    edge_rows: np.ndarray
+
+@dataclass(frozen=True)
+class PersonalWorkingSet:
+    """C clients' personal-model working state in one flat (C, P) buffer.
+
+    Client c's row of values holds its distinct p.region and p.edge rows
+    (rows[table][c], ascending), each table padded with +0.0 slots to the
+    widest client, then its whole p.dense.* and p.head.* tensors. views
+    names the (C, ...) view of each part into values, a table's view being
+    (C, width, dim); layout gives each name's (start column, per-client
+    shape). gather holds the flat positions in values of the head input's
+    embedding part (the profile's region rows, then its edge rows). x_dense
+    is each profile's dense features standardized by its client's model. A
+    padding slot is never read, its gradient is +0.0, and it is never
+    written back.
+    """
+
+    values: np.ndarray
+    views: dict[str, np.ndarray]
+    layout: dict[str, tuple[int, tuple[int, ...]]]
+    rows: dict[str, list[np.ndarray]]
+    gather: np.ndarray
     x_dense: np.ndarray
 
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        """The flat position in values that each weight of personal_loss's
+        gradient adds into: the head input's embedding part, then p.head.w,
+        p.head.b, p.dense.w and p.dense.b whole, client by client."""
+        n, width = self.values.shape
+        dense = []
+        for name in ("p.head.w", "p.head.b", "p.dense.w", "p.dense.b"):
+            start, shape = self.layout[name]
+            dense.append(start + np.arange(math.prod(shape)))
+        return np.concatenate([self.gather, np.concatenate(dense) + width * np.arange(n)[:, None]], axis=1).ravel()
 
-def personal_inputs(profiles: list[DriverProfile], params: list[PersonalModelParams]) -> PersonalInputs:
-    """Stack the inputs of client c = (profiles[c], params[c]) for personal_loss."""
+    def unpack(self, buffer: np.ndarray, c: int, out: nn.ParamSet) -> nn.ParamSet:
+        """Write client c's coordinates of a (C, P) buffer laid out as values
+        (the working values, or personal_loss's gradients) into out, client
+        c's whole personal tensors, in place; returns out."""
+        for name, dest in out.items():
+            start, shape = self.layout[name]
+            part = buffer[c, start : start + math.prod(shape)].reshape(shape)
+            if name in self.rows:
+                rows = self.rows[name][c]
+                dest[rows] = part[: len(rows)]
+            else:
+                dest[...] = part
+        return out
+
+
+def personal_working_set(profiles: list[DriverProfile], params: list[PersonalModelParams]) -> PersonalWorkingSet:
+    """Gather the working set of client c = (profiles[c], params[c]) for personal_loss."""
     if not profiles or len(profiles) != len(params):
         raise ValueError(f"need one personal model per profile, got {len(params)} for {len(profiles)}")
-    rows = {}
-    for table, attr in (("p.region", "top_regions"), ("p.edge", "top_edges")):
-        n_rows = params[0].values[table].shape[0]
-        ids = np.array([getattr(profile, attr) for profile in profiles], dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
+    for p in params:
+        nn.assert_congruent(params[0].values, p.values)
+    n = len(profiles)
+    slots, rows, shapes = {}, {}, {}
+    for table, attr in _PERSONAL_TABLES:
+        n_rows, dim = params[0].values[table].shape
+        ids = [list(getattr(profile, attr)) for profile in profiles]
+        if any(not 0 <= i < n_rows for client_ids in ids for i in client_ids):
             raise IndexError(f"{table} id out of range [0, {n_rows})")
-        rows[table] = ids + n_rows * np.arange(len(profiles))[:, None]
+        # Plain Python on a handful of ids: np.unique and np.searchsorted
+        # would page in sorting code that a run does not otherwise touch.
+        distinct = [sorted(set(client_ids)) for client_ids in ids]
+        slots[table] = np.array([[r.index(i) for i in client_ids] for r, client_ids in zip(distinct, ids)], dtype=np.int64)
+        rows[table] = [np.array(r, dtype=np.int64) for r in distinct]
+        shapes[table] = (max(map(len, distinct)), dim)
+    for name in ("p.dense.w", "p.dense.b", "p.head.w", "p.head.b"):
+        shapes[name] = params[0].values[name].shape
+    layout, width = {}, 0
+    for name, shape in shapes.items():
+        layout[name] = (width, shape)
+        width += math.prod(shape)
+    values = np.zeros((n, width))
+    views = {name: values[:, start : start + math.prod(shape)].reshape(n, *shape) for name, (start, shape) in layout.items()}
+    for c, p in enumerate(params):
+        for name, view in views.items():
+            if name in rows:
+                view[c, : len(rows[name][c])] = p.values[name][rows[name][c]]
+            else:
+                view[c] = p.values[name]
+    columns = []
+    for table, _ in _PERSONAL_TABLES:
+        start, (_, dim) = layout[table]
+        columns.append((start + dim * slots[table][:, :, None] + np.arange(dim)).reshape(n, -1))
+    # flat positions: client c's column k sits at c * width + k
+    gather = np.concatenate(columns, axis=1) + width * np.arange(n)[:, None]
     x_dense = np.stack([(profile.dense_features() - m.dense_mean) / m.dense_std for profile, m in zip(profiles, params)])
-    return PersonalInputs(region_rows=rows["p.region"], edge_rows=rows["p.edge"], x_dense=x_dense)
+    return PersonalWorkingSet(values, views, layout, rows, gather, x_dense)
 
 
-def _personal_forward(inputs: PersonalInputs, values: nn.ParamSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client biases (C,) and head inputs x_u (C, x_dim) for (C, ...) tensors."""
-    n = len(inputs.x_dense)
+def _personal_forward(ws: PersonalWorkingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client biases (C,) and head inputs x_u (C, x_dim) of a working set."""
     # np.matmul on (C, 1, k) @ (C, k, m) runs one BLAS call per client, the same
     # call as a single client's (k,) @ (k, m); einsum would sum in another order.
-    hidden = np.matmul(inputs.x_dense[:, None, :], values["p.dense.w"])[:, 0] + values["p.dense.b"]
-    dim = values["p.region"].shape[-1]
-    regions = values["p.region"].reshape(-1, dim)[inputs.region_rows]
-    edges = values["p.edge"].reshape(-1, dim)[inputs.edge_rows]
-    x_u = np.concatenate([regions.reshape(n, -1), edges.reshape(n, -1), hidden], axis=1)
-    bias = np.matmul(x_u[:, None, :], values["p.head.w"])[:, 0, 0] + values["p.head.b"][:, 0]
+    # The call depends on the strides within a client's tensor, which the
+    # views into values share with a tensor of its own.
+    hidden = np.matmul(ws.x_dense[:, None, :], ws.views["p.dense.w"])[:, 0] + ws.views["p.dense.b"]
+    x_u = np.concatenate([ws.values.take(ws.gather), hidden], axis=1)
+    bias = np.matmul(x_u[:, None, :], ws.views["p.head.w"])[:, 0, 0] + ws.views["p.head.b"][:, 0]
     return bias, x_u
 
 
 def personal_bias(profile: DriverProfile, params: PersonalModelParams) -> float:
     """Scalar travel-time bias in seconds for this driver."""
-    stacked = {k: v[None] for k, v in params.values.items()}
-    return float(_personal_forward(personal_inputs([profile], [params]), stacked)[0][0])
+    return float(_personal_forward(personal_working_set([profile], [params]))[0][0])
 
 
 def predict_final(y_hat: float, bias: float) -> float:
@@ -736,41 +822,41 @@ def predict_final(y_hat: float, bias: float) -> float:
     return y_hat + bias
 
 
-def personal_loss(inputs: PersonalInputs, values: nn.ParamSet, batch) -> tuple[np.ndarray, nn.GradSet]:
-    """Per-client personal losses (C,) and gradients, stacked on a leading client axis.
+def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Per-client personal losses (C,) and gradients (C, P) laid out as ws.values.
 
-    values holds C clients' personal tensors as (C, ...) arrays and batch their
-    (y, y_hat) pairs as a (C, B, 2) array. Client c's loss is the sum over its
-    B pairs of (y - y_hat - bias_c)^2; its gradients touch only its own slice
-    of the personal tensors, and y_hat values are frozen inputs. A single
-    client is the case C = 1.
+    batch holds the C clients' (y, y_hat) pairs as a (C, B, 2) array. Client
+    c's loss is the sum over its B pairs of (y - y_hat - bias_c)^2; its
+    gradients touch only its own row, and y_hat values are frozen inputs.
+    ws.unpack writes a row of the gradients into whole-table gradients. A
+    single client is the case C = 1.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1] == 0:
         raise ValueError("empty batch")
-    bias, x_u = _personal_forward(inputs, values)
-    loss = np.zeros(len(bias))
-    d_bias = np.zeros(len(bias))
+    bias, x_u = _personal_forward(ws)
+    n = len(bias)
+    loss = np.zeros(n)
+    d_bias = np.zeros(n)
     for j in range(batch.shape[1]):
         r = batch[:, j, 0] - batch[:, j, 1] - bias
         loss += r * r
         d_bias += -2.0 * r
-    d_xu = d_bias[:, None] * values["p.head.w"][:, :, 0]
-    block = inputs.region_rows.shape[1] * values["p.region"].shape[-1]
-    d_hidden = d_xu[:, 2 * block :]
-    # "0.0 +" makes every zero gradient +0.0, so that p - lr * g leaves a -0.0
-    # parameter at -0.0 (p - lr * -0.0 would turn it into +0.0).
-    grads = {
-        "p.head.w": 0.0 + d_bias[:, None, None] * x_u[:, :, None],
-        "p.head.b": 0.0 + d_bias[:, None],
-        "p.dense.w": 0.0 + inputs.x_dense[:, :, None] * d_hidden[:, None, :],
-        "p.dense.b": 0.0 + d_hidden,
-    }
-    for table, rows, d_rows in (
-        ("p.region", inputs.region_rows, d_xu[:, :block]),
-        ("p.edge", inputs.edge_rows, d_xu[:, block : 2 * block]),
-    ):
-        shape = values[table].shape
-        flat = nn.embedding_scatter((shape[0] * shape[1], shape[2]), rows.ravel(), d_rows.reshape(-1, shape[2]))
-        grads[table] = flat.reshape(shape)
-    return loss, grads
+    d_xu = d_bias[:, None] * ws.views["p.head.w"][:, :, 0]
+    block = ws.gather.shape[1]
+    d_hidden = d_xu[:, block:]
+    weights = np.concatenate(
+        [
+            d_xu[:, :block],
+            d_bias[:, None] * x_u,
+            d_bias[:, None],
+            (ws.x_dense[:, :, None] * d_hidden[:, None, :]).reshape(n, -1),
+            d_hidden,
+        ],
+        axis=1,
+    )
+    # Every coordinate starts at +0.0, so a zero gradient is +0.0 and
+    # p - lr * g leaves a -0.0 parameter at -0.0 (p - lr * -0.0 would turn
+    # it into +0.0).
+    grads = np.bincount(ws.scatter, weights=weights.ravel(), minlength=ws.values.size)
+    return loss, grads.reshape(ws.values.shape)

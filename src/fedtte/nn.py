@@ -178,8 +178,10 @@ def sgd_step(values: ParamSet, grads: GradSet, lr: float, take: np.ndarray) -> N
     (C, ...) stacked tensors with take[c] True; the others keep their values.
 
     Whole tensors are updated: where a gradient is +0.0 (an embedding row no
-    input looked up), p - lr * 0.0 == p for the finite lr a taken step
-    implies. lr * g overwrites the gradients, which are not read again.
+    input looked up, or a padding slot of the personal working set),
+    p - lr * 0.0 == p for the finite lr a taken step implies. The personal
+    phase passes its whole working set as one (C, P) tensor. lr * g
+    overwrites the gradients, which are not read again.
     """
     for name, p in values.items():
         step = np.multiply(grads[name], lr, out=grads[name])

@@ -96,11 +96,11 @@ def test_c01_gradient_integrity(tiny_world, tiny_cfg):
             for _ in range(3)
         ]
 
-        inputs = model.personal_inputs([profile], [pers])
-
         def personal_fn(values, _):
-            losses, grads = model.personal_loss(inputs, {k: v[None] for k, v in values.items()}, [pbatch])
-            return float(losses[0]), {k: g[0] for k, g in grads.items()}
+            # the working set gathers the values that check_gradients perturbs
+            ws = model.personal_working_set([profile], [pers])
+            losses, grads = model.personal_loss(ws, [pbatch])
+            return float(losses[0]), ws.unpack(grads, 0, nn.zeros_like_params(values))
 
         worst_personal = max(worst_personal, nn.check_gradients(personal_fn, pers.values, None, eps=1e-5))
     ok = worst_base < 1e-4 and worst_personal < 1e-4

@@ -487,10 +487,11 @@ def _profile(regions=(0, 1, 2), edges=(0, 1, 2)):
 
 
 def _personal_loss_one(profile, params, batch):
-    """personal_loss for one client: the C = 1 stack, unstacked again."""
-    stacked = {k: v[None] for k, v in params.values.items()}
-    losses, grads = model.personal_loss(model.personal_inputs([profile], [params]), stacked, [batch])
-    return float(losses[0]), {k: g[0] for k, g in grads.items()}
+    """personal_loss for one client: its C = 1 working set, gradients
+    unpacked onto whole tables."""
+    ws = model.personal_working_set([profile], [params])
+    losses, grads = model.personal_loss(ws, [batch])
+    return float(losses[0]), ws.unpack(grads, 0, nn.zeros_like_params(params.values))
 
 
 def test_personal_bias_all_zero_params(tiny_cfg):
@@ -568,30 +569,32 @@ def test_personal_loss_stacked_finite_difference(tiny_cfg):
     # another client's slice
     params = [model.init_personal_params(4, 8, tiny_cfg, seed=s) for s in range(3)]
     profiles = [_profile((0, 4, 4), (8, 8, 1)), _profile((1, 2, 3), (0, 8, 8)), _profile((4, 4, 4), (8, 8, 8))]
-    inputs = model.personal_inputs(profiles, params)
-    values = {k: np.stack([p.values[k] for p in params]) for k in params[0].values}
+    ws = model.personal_working_set(profiles, params)
+    values = {"ws": ws.values}
     batch = [[(110.0, 100.0), (95.0, 100.0)], [(80.0, 60.0), (61.0, 60.0)], [(200.0, 150.0), (140.0, 150.0)]]
 
     def fn(vals, _):
-        losses, grads = model.personal_loss(inputs, vals, batch)
-        return float(losses.sum()), grads
+        # check_gradients perturbs ws.values in place
+        losses, grads = model.personal_loss(ws, batch)
+        return float(losses.sum()), {"ws": grads}
 
     assert nn.check_gradients(fn, values, None, eps=1e-5) < 1e-5
     # each client's slice is byte for byte its own C = 1 result
-    losses, grads = model.personal_loss(inputs, values, batch)
+    losses, grads = model.personal_loss(ws, batch)
     for c in range(3):
         loss_c, grads_c = _personal_loss_one(profiles[c], params[c], batch[c])
         assert losses[c] == loss_c
+        unpacked = ws.unpack(grads, c, nn.zeros_like_params(params[c].values))
         for name in grads_c:
-            assert grads[name][c].tobytes() == grads_c[name].tobytes(), name
+            assert unpacked[name].tobytes() == grads_c[name].tobytes(), name
 
 
-def test_personal_inputs_reject_out_of_range_ids(tiny_cfg):
+def test_personal_working_set_rejects_out_of_range_ids(tiny_cfg):
     params = model.init_personal_params(4, 8, tiny_cfg, seed=0)
     with pytest.raises(IndexError):
-        model.personal_inputs([_profile(regions=(0, 1, 5))], [params])
+        model.personal_working_set([_profile(regions=(0, 1, 5))], [params])
     with pytest.raises(IndexError):
-        model.personal_inputs([_profile(edges=(-1, 1, 2))], [params])
+        model.personal_working_set([_profile(edges=(-1, 1, 2))], [params])
 
 
 def test_personal_sgd_recovers_least_squares_slope(tiny_cfg):

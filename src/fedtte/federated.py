@@ -8,14 +8,20 @@ the privacy config, and uploads it with its in-window sample count n_m. The
 chosen clients are trained in lockstep on stacked (C, ...) copies of the
 delivered model, step j of an epoch taking trajectory j of every client
 that has one; each client's steps, skips and noise are its own, so its
-upload is the same whichever other clients are chosen. The
+upload is the same whichever other clients are chosen. The stack is one
+flat (C, P) buffer with a named (C, ...) view per tensor (nn.FlatStack),
+and base_loss writes its gradients into another, so a step checks and
+updates a single tensor; the localized models that outlive the round are
+copied out of it, one array per tensor. The
 server folds the uploads into F <- sum (n_m / n) f_m in canonical client-id
 order, refreshes the served traffic state at the instant's slot, and records
 the round. Travel-time queries arriving before the next instant are answered
 from that state. train_round is the training half of a round (selection,
 local updates, aggregation) and run_round adds the state and the record;
-the privacy module's attack runs train_round, so it reads the uploads that
-training makes.
+the privacy module's attack runs train_round, and for a sweep's shared
+first round the same selection (ServerState.choose), local update, noising
+(FederatedConfig.dp_upload) and aggregation (ServerState.advance), so it
+reads the uploads that training makes.
 
 The day is partitioned into bands with per-band aggregation intervals; the
 default schedule densifies during the rush bands (16 instants per day).
@@ -30,7 +36,7 @@ its frozen localized global model with plain per-pair SGD, stepped in
 lockstep the same way on the clients' working sets: the embedding rows
 their profiles read and their dense tensors, in one flat buffer, so a step
 checks and updates a single tensor. Both phases check steps with _steps_ok
-and update with nn.sgd_step.
+and update with nn.sgd_step, each on its one flat buffer.
 """
 
 from __future__ import annotations
@@ -83,6 +89,13 @@ class FederatedConfig:
             raise ValueError("dp_epsilon must be > 0 (math.inf disables noise)")
         if not (0 < self.dp_clip < math.inf):
             raise ValueError("dp_clip must be finite and > 0")
+
+    def dp_upload(self, localized: nn.ParamSet, client_id: str, round_index: int) -> nn.ParamSet:
+        """What a client uploads of its localized model in a round: the model
+        clamped and Laplace-noised per this config (privacy.noise_params),
+        with the client's own (seed, "dp", client, round) stream."""
+        dp = DpConfig(epsilon=self.dp_epsilon, clip_bound=self.dp_clip, seed=self.seed)
+        return noise_params(localized, dp, rng=nn.spawn_rng(self.seed, "dp", client_id, round_index))
 
 
 @dataclass
@@ -250,6 +263,25 @@ class ServerState:
     round_index: int = 0
     latest_state: TrafficState | None = None
 
+    def choose(self, pool: list[ClientState], window: tuple[datetime, datetime], config: FederatedConfig) -> list[ClientState]:
+        """The clients the round at round_index trains: a uniform subset of
+        those with a trajectory in the window, drawn with the round's
+        selection key, in client-id order; none when no client has one."""
+        eligible = [c for c in pool if c.in_window(*window)]
+        if not eligible:
+            return []
+        m = min(config.clients_per_round, len(eligible))
+        chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", self.round_index))
+        by_id = {c.client_id: c for c in eligible}
+        return [by_id[cid] for cid in chosen]
+
+    def advance(self, uploads: list[tuple[ClientState, int, nn.ParamSet]]) -> None:
+        """Fold a round's (client, n_m, upload) triples, if any, into the
+        global model and move to the next round."""
+        if uploads:
+            self.global_params = self.global_params.with_values(aggregate([(n_m, upload) for _, n_m, upload in uploads]))
+        self.round_index += 1
+
 
 def init_server(
     network: RoadNetwork,
@@ -334,6 +366,10 @@ def client_update(
     model, and noises it with its own stream. The clients are stepped in
     lockstep on (C, ...) stacks: step j of an epoch takes trajectory j of
     every client that has one, and each client's arithmetic is its own.
+    The stack is one (C, P) nn.FlatStack and base_loss writes its gradients
+    into another, one buffer for all steps, so a step checks and updates
+    every tensor at once. The localized models are copied out of the stack,
+    one array per tensor.
     """
     batches = [sorted(client.in_window(*window), key=lambda t: (t.departure, t.y)) for client in clients]
     for client, batch in zip(clients, batches):
@@ -343,27 +379,37 @@ def client_update(
             raise ValueError(f"client {client.client_id} trains on another road network")
     for client in clients:
         client.localized_global = None  # replaced below; not kept alive beside the stack
+    trained = _lockstep_sgd(clients[0].network, global_params, batches, config, holidays)
+    for client, values in zip(clients, trained):
+        client.localized_global = global_params.with_values(values)
+    return [(config.dp_upload(c.localized_global.values, c.client_id, round_index), len(batch)) for c, batch in zip(clients, batches)]
+
+
+def _lockstep_sgd(network, global_params, batches, config, holidays) -> list[nn.ParamSet]:
+    """Each client's tensors after local_epochs passes of per-trajectory SGD
+    over its batch from the delivered model, one array per tensor, in the
+    order of batches. The stack and the gradient buffer are freed on return,
+    so they are not held while the uploads are noised."""
     # Longest batch first, so the clients with a j-th trajectory are a prefix
     # of the stack and step j runs on views of it.
-    order = sorted(range(len(clients)), key=lambda i: -len(batches[i]))
+    order = sorted(range(len(batches)), key=lambda i: -len(batches[i]))
     counts = [len(batches[i]) for i in order]
-    values = {k: np.repeat(v[None], len(clients), axis=0) for k, v in global_params.values.items()}
+    values = nn.FlatStack({k: v.shape for k, v in global_params.values.items()}, len(batches))
+    for k, v in values.items():
+        v[...] = global_params.values[k]
+    grad_buffer = np.empty(values.buffer.shape)
     lr = config.base_lr
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_epochs):
             for j in range(counts[0]):
                 active = sum(count > j for count in counts)
                 stack = {k: v[:active] for k, v in values.items()}
-                steps = [batches[i][j] for i in order[:active]]
-                losses, grads = base_loss(clients[0].network, global_params, stack, [(t.route, t.y) for t in steps], holidays)
-                nn.sgd_step(stack, grads, lr, _steps_ok(losses, grads, lr))
-    for slot, i in enumerate(order):
-        clients[i].localized_global = global_params.with_values({k: v[slot].copy() for k, v in values.items()})
-    dp = DpConfig(epsilon=config.dp_epsilon, clip_bound=config.dp_clip, seed=config.seed)
-    return [
-        (noise_params(c.localized_global.values, dp, rng=nn.spawn_rng(config.seed, "dp", c.client_id, round_index)), len(batch))
-        for c, batch in zip(clients, batches)
-    ]
+                steps = [(batches[i][j].route, batches[i][j].y) for i in order[:active]]
+                losses, grads = base_loss(network, global_params, stack, steps, holidays, grad_buffer)
+                step = {"flat": grads.buffer}
+                nn.sgd_step({"flat": values.buffer[:active]}, step, lr, _steps_ok(losses, step, lr))
+    slot_of = {i: slot for slot, i in enumerate(order)}
+    return [{k: v[slot_of[i]].copy() for k, v in values.items()} for i in range(len(batches))]
 
 
 def aggregate(received: list[tuple[int, nn.ParamSet]]) -> nn.ParamSet:
@@ -397,17 +443,12 @@ def train_round(
     an empty list and leaves the global model untouched. server.round_index
     advances either way, so selection and noise keys follow the schedule.
     """
-    eligible = [c for c in pool if c.in_window(*window)]
+    clients = server.choose(pool, window, config)
     uploads: list[tuple[ClientState, int, nn.ParamSet]] = []
-    if eligible:
-        m = min(config.clients_per_round, len(eligible))
-        chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", server.round_index))
-        by_id = {c.client_id: c for c in eligible}
-        clients = [by_id[cid] for cid in chosen]
+    if clients:
         results = client_update(clients, server.global_params, config, window, server.round_index, holidays)
         uploads = [(client, n_m, upload) for client, (upload, n_m) in zip(clients, results)]
-        server.global_params = server.global_params.with_values(aggregate([(n_m, upload) for _, n_m, upload in uploads]))
-    server.round_index += 1
+    server.advance(uploads)
     return uploads
 
 

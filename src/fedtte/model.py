@@ -244,16 +244,21 @@ class _Field:
         return np.arange(len(self.rows))[:, None]
 
     @cached_property
-    def real_rows(self) -> np.ndarray:
-        """Flat positions c * n_total + row of the real rows, client by client."""
-        return (self.rows + self.n_total * self.clients)[self.valid]
+    def real_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(client, row) index pairs of the real rows, client by client."""
+        return np.broadcast_to(self.clients, self.rows.shape)[self.valid], self.rows[self.valid]
 
     def scatter_add(self, dest: np.ndarray, x: np.ndarray) -> None:
-        """dest[c, rows[c]] += x[c] on the real rows, for (C, n_total, ...) dest."""
+        """dest[c, rows[c]] += x[c] on the real rows, for (C, n_total, ...) dest.
+
+        dest may be a view with any strides, such as a tensor of a FlatStack:
+        it is indexed by (client, row) pairs, not reshaped, since a reshape
+        that cannot merge the client axis copies and the sum would be lost.
+        A client's field rows are distinct, so no pair repeats."""
         if self.whole:
             dest += x
         else:
-            dest.reshape(-1, *dest.shape[2:])[self.real_rows] += x[self.valid]
+            dest[self.real_pairs] += x[self.valid]
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
         """L @ x[c] for every client c of a (C, n, d) stack. Row i of client c
@@ -533,14 +538,22 @@ def base_loss(
     values: nn.ParamSet,
     batch: list[tuple[Route, float]],
     holidays: frozenset = frozenset(),
-) -> tuple[np.ndarray, nn.GradSet]:
+    grad_buffer: np.ndarray | None = None,
+) -> tuple[np.ndarray, nn.FlatStack]:
     """Per-client squared route errors (C,) and gradients over every base tensor.
 
     values holds C clients' base tensors stacked as (C, ...) arrays and batch
     one (route, y) per client; params supplies the configuration and the
     numeric-feature standardization, which every client shares. Client c's
     loss is (prediction of its route under values[c] - y)^2 and its gradients
-    touch only its own slice. A single client is the case C = 1.
+    touch only its own slice. A single client is the case C = 1. The
+    gradients are a nn.FlatStack, views into one zeroed (C, P) buffer in
+    sorted-name order, so a step can check and update them as one tensor.
+    grad_buffer, when given, has at least C rows of P, and its first C rows
+    are zeroed and written instead of a new buffer. Local training reuses
+    one for all its steps: a new buffer per step, its size changing with
+    the number of clients stepped, fragmented the heap, and the benchmark's
+    stress peak RSS read several MB higher.
 
     Forward and backward run on each client's own receptive field, padded
     to the widest client's, or on the whole side where the rows around all
@@ -559,7 +572,7 @@ def base_loss(
     field_e, field_v = fields
     fw = _heads_forward(network, params, values, fields)
     ue, uv = fw["ue"], fw["uv"]
-    grads = nn.zeros_like_params(values)
+    grads = nn.zeros_stack(values, grad_buffer)
 
     ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
     slots = np.array([ctx.slot for ctx in ctxs])

@@ -10,7 +10,9 @@ Tensors are plain float64 numpy arrays. A ParamSet is a ``dict[str, ndarray]``
 treated as a value: operations return new dicts with new arrays and never
 mutate their inputs, except sgd_step, which updates the private (C, ...)
 stacks that training steps in lockstep. GradSet is the same shape of object,
-keyed and shaped congruently with the ParamSet it differentiates.
+keyed and shaped congruently with the ParamSet it differentiates. A
+FlatStack is a ParamSet of C clients' (C, ...) tensors that are views into
+one (C, P) buffer, so that a step can treat them as one tensor.
 """
 
 from __future__ import annotations
@@ -77,9 +79,36 @@ def clone_params(params: ParamSet) -> ParamSet:
     return {k: v.copy() for k, v in params.items()}
 
 
-def zeros_like_params(params: ParamSet) -> GradSet:
-    # np.zeros is several times cheaper per call than np.zeros_like.
-    return {k: np.zeros(v.shape, dtype=v.dtype) for k, v in params.items()}
+class FlatStack(dict):
+    """C clients' tensors as named (C, ...) views into one (C, P) buffer,
+    laid out in sorted-name order, starting at zero. The views are the
+    ParamSet that forward and backward passes read and write; buffer holds
+    the same coordinates as one tensor, for a step that checks and updates
+    them all at once. Row c of buffer is client c's coordinates. buffer,
+    when given, is an (n, P) float64 array to reuse; it is zeroed."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], n: int, buffer: np.ndarray | None = None):
+        super().__init__()
+        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+        if buffer is None:
+            buffer = np.zeros((n, sum(sizes.values())))
+        elif buffer.shape != (n, sum(sizes.values())):
+            raise ValueError(f"buffer of shape {buffer.shape} for {n} clients of {sum(sizes.values())} coordinates")
+        else:
+            buffer[...] = 0.0
+        self.buffer = buffer
+        offset = 0
+        for name in sorted(shapes):
+            self[name] = self.buffer[:, offset : offset + sizes[name]].reshape(n, *shapes[name])
+            offset += sizes[name]
+
+
+def zeros_stack(values: ParamSet, buffer: np.ndarray | None = None) -> FlatStack:
+    """Zeros congruent with C clients' (C, ...) stacked tensors, in one
+    buffer: a new one, or the first C rows of the given one."""
+    shapes = {k: v.shape[1:] for k, v in values.items()}
+    n = len(next(iter(values.values())))
+    return FlatStack(shapes, n, None if buffer is None else buffer[:n])
 
 
 def serialize_params(params: ParamSet) -> bytes:
@@ -179,9 +208,10 @@ def sgd_step(values: ParamSet, grads: GradSet, lr: float, take: np.ndarray) -> N
 
     Whole tensors are updated: where a gradient is +0.0 (an embedding row no
     input looked up, or a padding slot of the personal working set),
-    p - lr * 0.0 == p for the finite lr a taken step implies. The personal
-    phase passes its whole working set as one (C, P) tensor. lr * g
-    overwrites the gradients, which are not read again.
+    p - lr * 0.0 == p for the finite lr a taken step implies. Both training
+    phases pass their clients' coordinates as one (C, P) tensor: local
+    training a FlatStack's buffer, the personal phase its working set.
+    lr * g overwrites the gradients, which are not read again.
     """
     for name, p in values.items():
         step = np.multiply(grads[name], lr, out=grads[name])

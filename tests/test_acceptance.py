@@ -100,7 +100,7 @@ def test_c01_gradient_integrity(tiny_world, tiny_cfg):
             # the working set gathers the values that check_gradients perturbs
             ws = model.personal_working_set([profile], [pers])
             losses, grads = model.personal_loss(ws, [pbatch])
-            return float(losses[0]), ws.unpack(grads, 0, nn.zeros_like_params(values))
+            return float(losses[0]), ws.unpack(grads, 0, {k: np.zeros_like(x) for k, x in values.items()})
 
         worst_personal = max(worst_personal, nn.check_gradients(personal_fn, pers.values, None, eps=1e-5))
     ok = worst_base < 1e-4 and worst_personal < 1e-4

@@ -551,7 +551,7 @@ def _reference_fine_tune(client, cfg):
                 r = y - y_hat - (float(x_u @ v["p.head.w"][:, 0]) + float(v["p.head.b"][0]))
                 d_bias = 0.0 + -2.0 * r
                 d_xu = d_bias * v["p.head.w"][:, 0]
-                g = nn.zeros_like_params(v)
+                g = {k: np.zeros_like(x) for k, x in v.items()}
                 g["p.head.w"] += d_bias * x_u[:, None]
                 g["p.head.b"] += d_bias
                 np.add.at(g["p.region"], regions, d_xu[:block].reshape(-1, dim))
@@ -736,6 +736,35 @@ def test_steps_ok_passes_zero_size_tensors():
     grads = {"num_proj_v.w": np.zeros((2, 0, 4)), "b": np.array([[0.5], [np.nan]])}
     assert federated._steps_ok(np.array([1.0, 1.0]), grads, 1.0).tolist() == [True, False]
     assert federated._steps_ok(np.array([np.inf, 1.0]), {"num_proj_v.w": np.zeros((2, 0, 4))}, 1.0).tolist() == [False, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bounds=st.lists(st.sampled_from([0.25, 0.999, 1.0, 1.001, 4.0]), min_size=1, max_size=4),
+    lr=st.sampled_from([0.0, 1e-6, 0.5, 1.0]),
+    specials=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf, -1e300, 0.0])), max_size=4),
+    loss_specials=st.lists(st.sampled_from([1.0, np.nan, np.inf]), min_size=4, max_size=4),
+    seed=st.integers(0, 3),
+)
+def test_steps_ok_on_the_flat_buffer_agrees_with_the_per_tensor_check(tiny_world, tiny_cfg, bounds, lr, specials, loss_specials, seed):
+    # local training checks a step on base_loss's whole (C, P) gradient
+    # buffer; the verdict must be the per-tensor one at the base model's
+    # shapes, here with a zero-size num_proj_v.w (no numeric node columns)
+    network = replace(tiny_world.network, node_numeric=np.zeros((tiny_world.network.n_nodes, 0)))
+    values = model.init_base_params(network, tiny_cfg, seed).values
+    grads = nn.zeros_stack({k: np.broadcast_to(v, (len(bounds), *v.shape)) for k, v in values.items()})
+    assert grads["num_proj_v.w"].size == 0
+    rng = np.random.default_rng(seed)
+    # client c's largest step lr * |g| lands near its bound, on either side of _MAX_STEP = 1
+    scale = np.array(bounds)[:, None] / (lr if lr > 0 else 1.0)
+    grads.buffer[...] = rng.uniform(-1.0, 1.0, size=grads.buffer.shape) * scale
+    grads.buffer[np.arange(len(bounds)), rng.integers(0, grads.buffer.shape[1], len(bounds))] = -scale[:, 0]
+    for position, value in specials:
+        grads.buffer.flat[position % grads.buffer.size] = value
+    losses = np.array(loss_specials[: len(bounds)])
+    with np.errstate(invalid="ignore"):  # lr = 0 times an infinity, as client_update allows
+        flat = federated._steps_ok(losses, {"flat": grads.buffer}, lr)
+        assert flat.tolist() == federated._steps_ok(losses, dict(grads), lr).tolist()
 
 
 def test_client_update_on_a_network_without_numeric_node_columns(tiny_world, tiny_cfg):

@@ -393,6 +393,45 @@ def test_receptive_field_is_a_strict_subset_on_a_grid(cfg):
     assert not empty.whole and len(empty.rows[0]) == 0
 
 
+def test_field_scatter_add_writes_into_a_non_contiguous_destination():
+    # a FlatStack's tensors are views whose client axis cannot be merged with
+    # the rows, so a scatter through a reshape would add into a copy
+    net = GRID_10.network
+    field = model._side_field(net.laplacian_edges, [[0, 5], [100, 101, 102], [7]], 2)
+    assert not field.whole
+    rng = np.random.default_rng(0)
+    for shape in ((), (4,)):
+        size = net.n_edges * int(np.prod(shape))
+        buffer = np.zeros((3, 7 + size + 5))
+        dest = buffer[:, 7 : 7 + size].reshape(3, net.n_edges, *shape)
+        assert not dest.flags.c_contiguous and np.shares_memory(dest, buffer)
+        x = rng.normal(size=(3, field.rows.shape[1], *shape))
+        expected = np.zeros(dest.shape)
+        for c in range(3):
+            real = field.valid[c]
+            expected[c, field.rows[c][real]] += x[c][real]
+        field.scatter_add(dest, x)
+        assert dest.tobytes() == expected.tobytes()
+        assert not buffer[:, :7].any() and not buffer[:, 7 + size :].any()
+
+
+def test_base_loss_gradients_are_one_flat_buffer():
+    # row c of the buffer is client c's gradients, tensor by tensor in
+    # sorted-name order
+    net = GRID_10.network
+    batch = [(route, 100.0 * i) for i, route in enumerate(GRID_10_ROUTES[:3])]
+    params = model.init_base_params(net, _GRID_CFG, 0)
+    values = stack([model.init_base_params(net, _GRID_CFG, c).values for c in range(len(batch))])
+    _, grads = model.base_loss(net, params, values, batch)
+    for c in range(len(batch)):
+        assert np.concatenate([grads[name][c].ravel() for name in sorted(grads)]).tobytes() == grads.buffer[c].tobytes()
+    assert all(np.shares_memory(g, grads.buffer) for g in grads.values() if g.size)
+    # a reused buffer, with more rows and stale values, gives the same bytes
+    reused = np.full((len(batch) + 2, grads.buffer.shape[1]), np.nan)
+    _, again = model.base_loss(net, params, values, batch, grad_buffer=reused)
+    assert np.shares_memory(again.buffer, reused) and again.buffer.tobytes() == grads.buffer.tobytes()
+
+
 def _two_edge_route(world):
     route = next(t.route for t in data.sample_trajectories(world, 0) if len(t.route.steps) >= 3)
     return Route(steps=route.steps[:3], departure_time=MIDNIGHT.replace(hour=8), driver_id="d0")
@@ -491,7 +530,7 @@ def _personal_loss_one(profile, params, batch):
     unpacked onto whole tables."""
     ws = model.personal_working_set([profile], [params])
     losses, grads = model.personal_loss(ws, [batch])
-    return float(losses[0]), ws.unpack(grads, 0, nn.zeros_like_params(params.values))
+    return float(losses[0]), ws.unpack(grads, 0, {k: np.zeros_like(x) for k, x in params.values.items()})
 
 
 def test_personal_bias_all_zero_params(tiny_cfg):
@@ -584,7 +623,7 @@ def test_personal_loss_stacked_finite_difference(tiny_cfg):
     for c in range(3):
         loss_c, grads_c = _personal_loss_one(profiles[c], params[c], batch[c])
         assert losses[c] == loss_c
-        unpacked = ws.unpack(grads, c, nn.zeros_like_params(params[c].values))
+        unpacked = ws.unpack(grads, c, {k: np.zeros_like(x) for k, x in params[c].values.items()})
         for name in grads_c:
             assert unpacked[name].tobytes() == grads_c[name].tobytes(), name
 

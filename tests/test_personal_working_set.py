@@ -126,7 +126,7 @@ def test_working_set_step_matches_whole_tables(draw_clients, n_pairs, lr):
     # a distinct row's gradient is the same terms summed in the same order
     assert losses.tobytes() == whole_losses.tobytes()
     for c, p in enumerate(params):
-        _assert_same_bytes(ws.unpack(grads, c, nn.zeros_like_params(p.values)), {k: g[c] for k, g in whole_grads.items()})
+        _assert_same_bytes(ws.unpack(grads, c, {k: np.zeros_like(x) for k, x in p.values.items()}), {k: g[c] for k, g in whole_grads.items()})
     # the step check decides alike, and the step leaves every untouched row,
     # -0.0 included, as the whole-table step does
     with np.errstate(over="ignore", invalid="ignore"):

@@ -245,6 +245,92 @@ def test_risk_sweep_single_epsilon(tiny_world):
     assert means[1.0] == float(np.mean([r.risk for r in reports]))
 
 
+def test_risk_sweep_reads_one_shot_seeds_for_every_epsilon(tiny_world):
+    kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model.ModelConfig(time_slots=4), rounds=1, k=5)
+    means, rows = privacy.risk_sweep(tiny_world, [math.inf, 1.0], seeds=iter([0, 1]), **kwargs)
+    assert (means, rows) == privacy.risk_sweep(tiny_world, [math.inf, 1.0], seeds=[0, 1], **kwargs)
+    assert all(math.isfinite(mean) for mean in means.values())
+
+
+# risk_sweep trains each seed's first round once, at its first epsilon, and
+# every epsilon's simulation of that seed starts from it. Each epsilon's rows
+# must be those of the epsilon swept alone, and of its simulations run from
+# scratch.
+
+def _epsilon_blocks(rows):
+    """A sweep's rows split into per-epsilon blocks, each ending in its "all" row."""
+    blocks, block = [], []
+    for row in rows:
+        block.append(row)
+        if row["seed"] == "all":
+            blocks.append(block)
+            block = []
+    assert not block
+    return blocks
+
+
+def _late_world():
+    # a single driver whose trips start at 18:04, so training starts after
+    # every earlier instant of the day is skipped
+    return data.generate_world(data.WorldSpec(
+        grid_rows=2, grid_cols=2, n_drivers=1, trips_per_day=4, congestion="flat",
+        obs_sigma_s=0.0, bias_spread_s=0.0, time_slots=4, seed=4,
+    ))
+
+
+@pytest.mark.parametrize(
+    "case", ["skipped instants", "start values", "schedule and holidays", "one round", "reordered", "repeated"]
+)
+def test_each_epsilon_of_a_sweep_equals_that_epsilon_alone(tiny_world, case):
+    model_cfg = model.ModelConfig(time_slots=4)
+    world, epsilons, seeds = tiny_world, [1.0, math.inf, 0.1], [0, 1]
+    kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model_cfg, rounds=3, k=5)
+    if case == "skipped instants":
+        world, seeds = _late_world(), [5, 6]
+    elif case == "start values":
+        kwargs["start_values"] = model.init_base_params(world.network, model_cfg, seed=99).values
+    elif case == "schedule and holidays":
+        kwargs["schedule"] = federated.AggregationSchedule(bands=((0.0, 12.0, 6.0), (12.0, 0.0, 4.0)))
+        kwargs["holidays"] = frozenset({data.EPOCH_DATE})
+    elif case == "one round":
+        kwargs["rounds"] = 1
+    elif case == "reordered":
+        epsilons = [0.1, math.inf, 1.0]
+    elif case == "repeated":
+        epsilons = [1.0, math.inf, 1.0]
+    means, rows = privacy.risk_sweep(world, epsilons, seeds=seeds, **kwargs)
+    blocks = _epsilon_blocks(rows)
+    assert len(blocks) == len(epsilons)
+    for eps, block in zip(epsilons, blocks):
+        alone_means, alone = privacy.risk_sweep(world, [eps], seeds=seeds, **kwargs)
+        assert block == alone and means[eps] == alone_means[eps]
+        scratch = [report for seed in seeds for report in privacy.risk_eval(world, eps, seed=seed, **kwargs)]
+        assert scratch and [(row["client_id"], row["risk"]) for row in block[:-1]] == [
+            (report.client_id, repr(report.risk)) for report in scratch
+        ]
+
+
+def test_sweep_trains_each_seeds_first_round_once(tiny_world, monkeypatch):
+    # S seeds, E epsilons, R rounds each: S * (1 + E * (R - 1)) local-training
+    # calls, not S * E * R
+    kwargs = dict(fed_config=federated.FederatedConfig(), model_cfg=model.ModelConfig(time_slots=4), rounds=3, k=5)
+    epsilons, seeds = [math.inf, 1.0, 0.1], [0, 1]
+    calls = []
+    client_update = federated.client_update
+
+    def counting_update(*args, **kwargs):
+        calls.append(args)
+        return client_update(*args, **kwargs)
+
+    monkeypatch.setattr(federated, "client_update", counting_update)
+    for seed in seeds:
+        privacy.risk_eval(tiny_world, 1.0, seed=seed, **kwargs)
+    assert len(calls) == len(seeds) * kwargs["rounds"]  # every simulation trains R rounds
+    calls.clear()
+    privacy.risk_sweep(tiny_world, epsilons, seeds=seeds, **kwargs)
+    assert len(calls) == len(seeds) * (1 + len(epsilons) * (kwargs["rounds"] - 1))
+
+
 def test_attack_reads_the_uploads_training_makes(monkeypatch):
     # a single client whose trips start at 18:04, so every earlier instant of the
     # day is skipped; skipped instants must advance the round index (and with

@@ -385,19 +385,41 @@ def client_update(
     return [(config.dp_upload(c.localized_global.values, c.client_id, round_index), len(batch)) for c, batch in zip(clients, batches)]
 
 
+# Local training's stack and gradient buffers, (2, rows, P), kept for the
+# process and replaced only when a round needs more rows or another model
+# size. A pair allocated per round, 12 MB on the stress workload's 3,480-edge
+# graph, was returned to the system at the end of each round, which raised
+# glibc's mmap threshold to its size; base_loss's large temporaries then came
+# from the heap, and how they fragmented it varied from run to run with the
+# same inputs: stress peak RSS spread over 6 MB. Kept, it reads within
+# 0.2 MB of the same value in every run. Training is single-threaded, so one
+# pair serves every call.
+_training_buffer = np.empty((2, 0, 0))
+
+
+def _training_buffers(rows: int, n_coords: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stack and a gradient buffer of at least rows rows of n_coords
+    coordinates each, their contents undefined."""
+    global _training_buffer
+    if _training_buffer.shape[1] < rows or _training_buffer.shape[2] != n_coords:
+        _training_buffer = np.empty((2, rows, n_coords))
+    return _training_buffer[0], _training_buffer[1]
+
+
 def _lockstep_sgd(network, global_params, batches, config, holidays) -> list[nn.ParamSet]:
     """Each client's tensors after local_epochs passes of per-trajectory SGD
     over its batch from the delivered model, one array per tensor, in the
-    order of batches. The stack and the gradient buffer are freed on return,
-    so they are not held while the uploads are noised."""
+    order of batches. The stack and the gradients live in the process's
+    _training_buffers, reused by every call."""
     # Longest batch first, so the clients with a j-th trajectory are a prefix
     # of the stack and step j runs on views of it.
     order = sorted(range(len(batches)), key=lambda i: -len(batches[i]))
     counts = [len(batches[i]) for i in order]
-    values = nn.FlatStack({k: v.shape for k, v in global_params.values.items()}, len(batches))
+    shapes = {k: v.shape for k, v in global_params.values.items()}
+    stack_buffer, grad_buffer = _training_buffers(max(len(batches), config.clients_per_round), sum(math.prod(s) for s in shapes.values()))
+    values = nn.FlatStack(shapes, len(batches), stack_buffer[: len(batches)])
     for k, v in values.items():
         v[...] = global_params.values[k]
-    grad_buffer = np.empty(values.buffer.shape)
     lr = config.base_lr
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_epochs):

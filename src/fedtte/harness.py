@@ -355,31 +355,33 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ordered = sorted(eval_records, key=lambda t: (t.driver_id, t.departure))
     ctxs = [TimeContext.from_datetime(traj.departure, cfg.model.time_slots, cfg.holidays) for traj in ordered]
     init_states = traffic_state(world.network, init_params, ctxs)
-    local_states = {
-        cid: traffic_state(world.network, by_client[cid].localized_global, [ctx for _, ctx in group])
-        for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id)
-    }
-    biases = {cid: personal_bias(by_client[cid].profile, by_client[cid].personal) for cid in local_states}
     base_rows: list[tuple[str, float, float]] = []
     glob_rows: list[tuple[str, float, float]] = []
     pers_rows: list[tuple[str, float, float]] = []
     pred_rows: list[dict] = []
-    for traj, ctx in zip(ordered, ctxs):
-        y_init = predict_route(init_states[ctx], traj.route)
-        y_hat = predict_route(local_states[traj.driver_id][ctx], traj.route)
-        y_final = predict_final(y_hat, biases[traj.driver_id])
-        base_rows.append((traj.driver_id, traj.y, y_init))
-        glob_rows.append((traj.driver_id, traj.y, y_hat))
-        pers_rows.append((traj.driver_id, traj.y, y_final))
-        pred_rows.append(
-            {
-                "client_id": traj.driver_id,
-                "route_seq": _route_tokens(traj.route, world.network),
-                "y_true_s": repr(traj.y),
-                "y_hat_s": repr(y_hat),
-                "y_final_s": repr(y_final),
-            }
-        )
+    # One client's states at a time: every client's at once held about 14 MB
+    # more on the stress workload and set the run's peak memory.
+    for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id):
+        group = list(group)
+        client = by_client[cid]
+        local_states = traffic_state(world.network, client.localized_global, [ctx for _, ctx in group])
+        bias = personal_bias(client.profile, client.personal)
+        for traj, ctx in group:
+            y_init = predict_route(init_states[ctx], traj.route)
+            y_hat = predict_route(local_states[ctx], traj.route)
+            y_final = predict_final(y_hat, bias)
+            base_rows.append((traj.driver_id, traj.y, y_init))
+            glob_rows.append((traj.driver_id, traj.y, y_hat))
+            pers_rows.append((traj.driver_id, traj.y, y_final))
+            pred_rows.append(
+                {
+                    "client_id": traj.driver_id,
+                    "route_seq": _route_tokens(traj.route, world.network),
+                    "y_true_s": repr(traj.y),
+                    "y_hat_s": repr(y_hat),
+                    "y_final_s": repr(y_final),
+                }
+            )
     reports = {
         "baseline": grouped_metrics(base_rows, "baseline"),
         "global": grouped_metrics(glob_rows, "global"),

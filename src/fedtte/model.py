@@ -550,10 +550,11 @@ def base_loss(
     gradients are a nn.FlatStack, views into one zeroed (C, P) buffer in
     sorted-name order, so a step can check and update them as one tensor.
     grad_buffer, when given, has at least C rows of P, and its first C rows
-    are zeroed and written instead of a new buffer. Local training reuses
-    one for all its steps: a new buffer per step, its size changing with
-    the number of clients stepped, fragmented the heap, and the benchmark's
-    stress peak RSS read several MB higher.
+    are zeroed and written instead of a new buffer. Local training passes
+    the gradient buffer it keeps for the process (federated._training_buffers):
+    a new buffer per step, its size changing with the number of clients
+    stepped, fragmented the heap, and the benchmark's stress peak RSS read
+    several MB higher.
 
     Forward and backward run on each client's own receptive field, padded
     to the widest client's, or on the whole side where the rows around all

@@ -722,6 +722,23 @@ def test_lockstep_client_independent_of_the_other_chosen_clients(order):
         _assert_same_bytes_params(client.localized_global.values, expected_values)
 
 
+def test_client_update_ignores_what_its_reused_buffers_held():
+    # local training keeps its stack and gradient buffers for the process;
+    # what an earlier call on another graph or with more clients left in them,
+    # or NaN, must not reach the result
+    cfg = FederatedConfig(clients_per_round=2, local_epochs=2, base_lr=1e-6, dp_epsilon=10.0, seed=3)
+    global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, False, 0)
+    expected = [(upload, c.localized_global.values) for c, (upload, _) in zip(clients, client_update(clients, global_params, cfg, _DAY0, 2))]
+    for world_name, counts in (("3x4", [3, 1]), ("10x10", [1, 4, 2, 3]), ("10x10", [4, 2, 3])):
+        global_params, clients = _lockstep_setup(world_name, (1, 2), counts, False, False, 0)
+        client_update(clients, global_params, cfg, _DAY0, 2)
+    federated._training_buffer[...] = np.nan
+    global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, False, 0)
+    for client, (upload, _), (expected_upload, expected_values) in zip(clients, client_update(clients, global_params, cfg, _DAY0, 2), expected):
+        _assert_same_bytes_params(upload, expected_upload)
+        _assert_same_bytes_params(client.localized_global.values, expected_values)
+
+
 def test_client_update_gives_each_client_its_own_localized_copy(tiny_world, tiny_cfg):
     global_params = model.init_base_params(tiny_world.network, tiny_cfg, seed=0)
     clients = build_clients(tiny_world)

@@ -31,12 +31,13 @@ clients by a keyed hash, so the chosen subset is uniform, deterministic under
 the seed, and insensitive to pool order or to the presence of non-selected
 clients.
 
-After training, every client fine-tunes its personal residual model against
-its frozen localized global model with plain per-pair SGD, stepped in
-lockstep the same way on the clients' working sets: the embedding rows
-their profiles read and their dense tensors, in one flat buffer, so a step
-checks and updates a single tensor. Both phases check steps with _steps_ok
-and update with nn.sgd_step, each on its one flat buffer.
+After training, every client fine-tunes its personal residual model with
+plain per-pair SGD on given (y, y_hat) pairs, y_hat coming from the one
+base_predictions pass of its localized global model that also serves the
+evaluation. It is stepped in lockstep the same way on the clients' working
+sets: the embedding rows their profiles read and their dense tensors, in one
+flat buffer, so a step checks and updates a single tensor. Both phases check
+steps with _steps_ok and update with nn.sgd_step, each on its one flat buffer.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class ClientState:
     profile: object = None
     localized_global: BaseModelParams | None = None
     personal: PersonalModelParams | None = None
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.trajectories)
 
     def in_window(self, start: datetime, end: datetime) -> list[TrajectoryRecord]:
         return [t for t in self.trajectories if start <= t.departure < end]
@@ -515,56 +512,56 @@ def run_round(
     return record, server.global_params, server.latest_state
 
 
-def fine_tune_personal(pool: list[ClientState], config: FederatedConfig, holidays: frozenset = frozenset()) -> None:
-    """Personal-model SGD on residuals against each client's frozen localized global.
+def base_predictions(client: ClientState, trajectories: list[TrajectoryRecord], holidays: frozenset = frozenset()) -> list[float]:
+    """The client's localized global model's estimate y_hat of each
+    trajectory's travel time, in order, from one traffic_state pass."""
+    if client.localized_global is None:
+        raise ValueError(f"client {client.client_id} has no localized global model")
+    n_slots = client.localized_global.cfg.time_slots
+    ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajectories]
+    states = traffic_state(client.network, client.localized_global, ctxs)
+    return [predict_route(states[ctx], traj.route) for traj, ctx in zip(trajectories, ctxs)]
 
-    Each client runs plain per-pair SGD: personal_epochs passes over its
-    (y, y_hat) pairs in chronological order, skipping steps _steps_ok rejects.
-    Step j of an epoch takes pair j of every client that has one, on the
-    clients' working sets (model.PersonalWorkingSet): the table rows their
-    profiles read and the dense tensors, in one (C, P) buffer that is checked
-    and updated as one tensor. The whole tables are written back once, after
-    the last epoch; no client's result depends on the others. The localized
-    global models are read-only while this runs, so a write into one fails
-    where it is made.
+
+def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedConfig) -> None:
+    """Personal-model SGD on the residuals y - y_hat of given pairs.
+
+    pairs[c] holds client c's (y, y_hat) pairs in step order, y_hat being
+    the estimate of its frozen localized global model (base_predictions);
+    fine-tuning never reads that model. Each client runs plain
+    per-pair SGD: personal_epochs passes over its pairs, skipping steps
+    _steps_ok rejects. Step j of an epoch takes pair j of every client that
+    has one, on the clients' working sets (model.PersonalWorkingSet): the
+    table rows their profiles read and the dense tensors, in one (C, P)
+    buffer that is checked and updated as one tensor. The whole tables are
+    written back once, after the last epoch; no client's result depends on
+    the others.
     """
+    if len(pairs) != len(pool):
+        raise ValueError(f"need the pairs of every client, got {len(pairs)} for {len(pool)}")
     for client in pool:
-        if client.localized_global is None:
-            raise ValueError(f"client {client.client_id} has no localized global model to freeze")
         if client.personal is None:
             raise ValueError(f"client {client.client_id} personal model is not initialized")
         if client.profile is None:
             raise ValueError(f"client {client.client_id} profile has not been extracted")
     if not pool:
         return
-    frozen = [v for client in pool for v in client.localized_global.values.values() if v.flags.writeable]
-    for v in frozen:
-        v.flags.writeable = False
-    try:
-        counts = np.array([client.sample_count for client in pool])
-        batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
-        for c, client in enumerate(pool):
-            n_slots = client.localized_global.cfg.time_slots
-            trajs = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
-            ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajs]
-            states = traffic_state(client.network, client.localized_global, ctxs)
-            for k, (traj, ctx) in enumerate(zip(trajs, ctxs)):
-                batch[c, k] = traj.y, predict_route(states[ctx], traj.route)
-        has_pair = np.arange(batch.shape[1]) < counts[:, None]
-        ws = personal_working_set([c.profile for c in pool], [c.personal for c in pool])
-        values = {"ws": ws.values}
-        lr = config.personal_lr
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(config.personal_epochs):
-                for j in range(batch.shape[1]):
-                    losses, grads = personal_loss(ws, batch[:, j : j + 1])
-                    step = {"ws": grads}
-                    nn.sgd_step(values, step, lr, has_pair[:, j] & _steps_ok(losses, step, lr))
-        # One (C, ...) block per tensor: a copy per client would be many
-        # small heap allocations, with which stress peak RSS read 4 MB higher.
-        tables = {k: np.stack([client.personal.values[k] for client in pool]) for k in pool[0].personal.values}
-        for c, client in enumerate(pool):
-            client.personal.values = ws.unpack(ws.values, c, {k: v[c] for k, v in tables.items()})
-    finally:
-        for v in frozen:
-            v.flags.writeable = True
+    counts = np.array([len(client_pairs) for client_pairs in pairs])
+    batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
+    for c, client_pairs in enumerate(pairs):
+        batch[c, : counts[c]] = np.reshape(client_pairs, (-1, 2))
+    has_pair = np.arange(batch.shape[1]) < counts[:, None]
+    ws = personal_working_set([c.profile for c in pool], [c.personal for c in pool])
+    values = {"ws": ws.values}
+    lr = config.personal_lr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.personal_epochs):
+            for j in range(batch.shape[1]):
+                losses, grads = personal_loss(ws, batch[:, j : j + 1])
+                step = {"ws": grads}
+                nn.sgd_step(values, step, lr, has_pair[:, j] & _steps_ok(losses, step, lr))
+    # One (C, ...) block per tensor: a copy per client would be many
+    # small heap allocations, with which stress peak RSS read 4 MB higher.
+    tables = {k: np.stack([client.personal.values[k] for client in pool]) for k in pool[0].personal.values}
+    for c, client in enumerate(pool):
+        client.personal.values = ws.unpack(ws.values, c, {k: v[c] for k, v in tables.items()})

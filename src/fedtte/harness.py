@@ -340,7 +340,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             dense_mean=dense_mean,
             dense_std=dense_std,
         )
-    fed.fine_tune_personal(pool, cfg.federated, cfg.holidays)
 
     eval_records: list[TrajectoryRecord] = []
     for day in range(cfg.days, cfg.days + cfg.eval_days):
@@ -351,28 +350,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if leaked:
         raise RuntimeError(f"evaluation split overlaps training data on {len(leaked)} trajectories")
 
-    by_client = {c.client_id: c for c in pool}
+    # One pass of each client's localized global model estimates its training
+    # trips (the personal phase's pairs) and its held-out trips, one client at
+    # a time: every client's states at once held about 14 MB more on the
+    # stress workload and set the run's peak memory.
     ordered = sorted(eval_records, key=lambda t: (t.driver_id, t.departure))
     ctxs = [TimeContext.from_datetime(traj.departure, cfg.model.time_slots, cfg.holidays) for traj in ordered]
+    held_out = {cid: list(group) for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id)}
+    pairs, evaluated = [], {}
+    for client in pool:
+        trips = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
+        evals = [traj for traj, _ in held_out.get(client.client_id, [])]
+        y_hats = fed.base_predictions(client, trips + evals, cfg.holidays)
+        pairs.append([(traj.y, y_hat) for traj, y_hat in zip(trips, y_hats)])
+        evaluated[client.client_id] = client, y_hats[len(trips) :]
+    fed.fine_tune_personal(pool, pairs, cfg.federated)
+
     init_states = traffic_state(world.network, init_params, ctxs)
-    base_rows: list[tuple[str, float, float]] = []
-    glob_rows: list[tuple[str, float, float]] = []
-    pers_rows: list[tuple[str, float, float]] = []
+    rows: list[tuple[str, float, float, float, float]] = []  # client, y, then baseline, global, personalized
     pred_rows: list[dict] = []
-    # One client's states at a time: every client's at once held about 14 MB
-    # more on the stress workload and set the run's peak memory.
-    for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id):
-        group = list(group)
-        client = by_client[cid]
-        local_states = traffic_state(world.network, client.localized_global, [ctx for _, ctx in group])
+    for cid, group in held_out.items():
+        client, y_hats = evaluated[cid]
         bias = personal_bias(client.profile, client.personal)
-        for traj, ctx in group:
+        for (traj, ctx), y_hat in zip(group, y_hats):
             y_init = predict_route(init_states[ctx], traj.route)
-            y_hat = predict_route(local_states[ctx], traj.route)
             y_final = predict_final(y_hat, bias)
-            base_rows.append((traj.driver_id, traj.y, y_init))
-            glob_rows.append((traj.driver_id, traj.y, y_hat))
-            pers_rows.append((traj.driver_id, traj.y, y_final))
+            rows.append((traj.driver_id, traj.y, y_init, y_hat, y_final))
             pred_rows.append(
                 {
                     "client_id": traj.driver_id,
@@ -383,9 +386,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 }
             )
     reports = {
-        "baseline": grouped_metrics(base_rows, "baseline"),
-        "global": grouped_metrics(glob_rows, "global"),
-        "personalized": grouped_metrics(pers_rows, "personalized"),
+        split: grouped_metrics([(row[0], row[1], row[k]) for row in rows], split)
+        for k, split in enumerate(("baseline", "global", "personalized"), start=2)
     }
 
     if out is not None:

@@ -31,7 +31,8 @@ may differ from the whole-graph pass in the last bit.
 
 The served traffic state is one whole-graph forward pass shared by every
 context it is read at, since only the temporal attention depends on the
-context.
+context. So one pass of a client's localized global model gives the
+estimates of both the personal phase's pairs and the evaluation.
 
 The temporal attention vector comes from a K x I table whose row k encodes
 (day-of-week one-hot, slot-k one-hot, holiday embedding) through a linear
@@ -39,7 +40,8 @@ projection; component i of the attention is the softmax over the K slots of
 column i, evaluated at the context's slot. With a purely linear projection
 the day-of-week and holiday contributions are constant per column and cancel
 in the softmax, so attention varies with the slot only; the construction is
-kept as stated for shape fidelity.
+kept as stated for shape fidelity. The loss and the served state share one
+attention path (_temporal_attention), the served state as a C = 1 stack.
 
 The personal model maps a driver profile (embedded sparse features plus
 linearly transformed standardized dense features) through one linear head to
@@ -111,6 +113,10 @@ class TimeContext:
     day_of_week: int  # 0 = Monday
     slot: int
     is_holiday: bool = False
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.day_of_week < DAYS_PER_WEEK and self.slot >= 0):
+            raise ValueError(f"no time has day_of_week {self.day_of_week} (0-6) and slot {self.slot} (>= 0)")
 
     @classmethod
     def from_datetime(cls, dt: datetime, n_slots: int, holidays: frozenset = frozenset()) -> "TimeContext":
@@ -453,30 +459,27 @@ def _gcn_stack_backward(field: _Field, caches, d_out: np.ndarray, grads: nn.Grad
     return d_out
 
 
-def _temporal_code(ctxs: list[TimeContext], cfg: ModelConfig, holiday_rows: np.ndarray) -> np.ndarray:
-    """(C, K, 7+K+holiday_dim) raw codes, one per context: row k is the
-    context rendered at slot k, with the context's row of the holiday table."""
+def _temporal_attention(values: nn.ParamSet, ctxs: list[TimeContext], cfg: ModelConfig):
+    """Attention (C, I) of C clients' (C, ...) temporal tensors, client c's
+    read at ctxs[c]: component i is the softmax over the K slots of column i
+    of the client's K x I table, at the context's slot, so it lies in (0, 1).
+    Table row k projects the raw code of the context rendered at slot k
+    (day-of-week one-hot, slot-k one-hot, the context's holiday row). Also
+    returns the codes (C, K, 7+K+holiday_dim) and the softmax (C, K, I) for
+    the backward pass."""
     k = cfg.time_slots
+    slots = [ctx.slot for ctx in ctxs]
+    if max(slots) >= k:
+        raise ValueError(f"slot {max(slots)} outside table with K={k}")
+    clients = np.arange(len(ctxs))
+    holiday_rows = values["temporal.holiday"][clients, [int(ctx.is_holiday) for ctx in ctxs]]
     code = np.zeros((len(ctxs), k, DAYS_PER_WEEK + k + holiday_rows.shape[1]))
-    code[np.arange(len(ctxs)), :, [ctx.day_of_week for ctx in ctxs]] = 1.0
+    code[clients, :, [ctx.day_of_week for ctx in ctxs]] = 1.0
     code[:, np.arange(k), DAYS_PER_WEEK + np.arange(k)] = 1.0
     code[:, :, DAYS_PER_WEEK + k :] = holiday_rows[:, None, :]
-    return code
-
-
-def build_temporal_table(params: BaseModelParams, ctx: TimeContext) -> np.ndarray:
-    """K x I table of projected temporal codes for the context's day."""
-    code = _temporal_code([ctx], params.cfg, params.values["temporal.holiday"][[1 if ctx.is_holiday else 0]])[0]
-    return code @ params.values["temporal.w"] + params.values["temporal.b"]
-
-
-def temporal_attention(temporal_table: np.ndarray, ctx: TimeContext) -> np.ndarray:
-    """Length-I attention: per column, softmax over the K slots, read at the
-    context's slot. Components lie in (0, 1)."""
-    if not 0 <= ctx.slot < temporal_table.shape[0]:
-        raise ValueError(f"slot {ctx.slot} outside table with K={temporal_table.shape[0]}")
-    probs = nn.softmax(temporal_table, axis=0)
-    return probs[ctx.slot].copy()
+    table = np.matmul(code, values["temporal.w"]) + values["temporal.b"][:, None]
+    probs = nn.softmax(table, axis=1)
+    return probs[clients, slots], probs, code
 
 
 def _heads_forward(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, fields: tuple[_Field, _Field]):
@@ -496,12 +499,14 @@ def traffic_state(network: RoadNetwork, params: BaseModelParams, ctxs: list[Time
     """Estimated travel-time vectors for every edge and node, one state per
     distinct context of ctxs. The heads do not depend on the context, so one
     whole-graph forward pass (of the C = 1 stack) serves every context."""
-    fw = _heads_forward(network, params, {k: v[None] for k, v in params.values.items()}, _whole_graph(network))
+    values = {k: v[None] for k, v in params.values.items()}
+    fw = _heads_forward(network, params, values, _whole_graph(network))
     ue, uv = fw["ue"][0], fw["uv"][0]
     scale = params.cfg.output_scale
     states = {}
+    # One context at a time, so a call holds one context's codes, not all.
     for ctx in dict.fromkeys(ctxs):
-        a = temporal_attention(build_temporal_table(params, ctx), ctx)
+        a = _temporal_attention(values, [ctx], params.cfg)[0][0]
         states[ctx] = TrafficState(
             slot=ctx.slot,
             n_slots=params.cfg.time_slots,
@@ -576,12 +581,7 @@ def base_loss(
     grads = nn.zeros_stack(values, grad_buffer)
 
     ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
-    slots = np.array([ctx.slot for ctx in ctxs])
-    holiday_rows = np.array([1 if ctx.is_holiday else 0 for ctx in ctxs])
-    code = _temporal_code(ctxs, cfg, values["temporal.holiday"][clients, holiday_rows])
-    table = np.matmul(code, values["temporal.w"]) + values["temporal.b"][:, None]
-    probs = nn.softmax(table, axis=1)
-    attn = probs[clients, slots]
+    attn, probs, code = _temporal_attention(values, ctxs, cfg)
 
     # The route sums, one client at a time, are the single-client operations on
     # the client's contiguous slice, so they add in the same order.
@@ -607,12 +607,12 @@ def base_loss(
     # softmax-at-slot backward: a_i = probs[t, i]
     d_at_slot = d_attn * attn
     d_table = -probs * d_at_slot[:, None, :]
-    d_table[clients, slots] += d_at_slot
+    d_table[clients, [ctx.slot for ctx in ctxs]] += d_at_slot
     grads["temporal.w"] += np.matmul(code.transpose(0, 2, 1), d_table)
     grads["temporal.b"] += d_table.sum(axis=1)
     d_code = np.matmul(d_table, values["temporal.w"].transpose(0, 2, 1))
     hol_block = DAYS_PER_WEEK + cfg.time_slots
-    grads["temporal.holiday"][clients, holiday_rows] += d_code[:, :, hol_block:].sum(axis=1)
+    grads["temporal.holiday"][clients, [int(ctx.is_holiday) for ctx in ctxs]] += d_code[:, :, hol_block:].sum(axis=1)
 
     for side, du, h_top, caches, field, cat, x_std in (
         ("e", due, fw["he"], fw["caches_e"], field_e, network.edge_categorical, fw["xe"]),

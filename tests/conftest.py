@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fedtte import data, graph, model
+from fedtte import data, federated, graph, model
 
 # Text for one numeric CSV field: special values, float reprs and garbage.
 # Control and line-separator characters are left out so a row stays one line.
@@ -131,3 +131,20 @@ def shared_base_loss(network, params, batch, holidays=frozenset()):
         return float(losses.sum()), {k: g.sum(axis=0) for k, g in grads.items()}
 
     return fn
+
+
+def localized_pairs(pool, holidays=frozenset()):
+    """Each client's (y, y_hat) pairs as run_experiment makes them for the
+    personal phase: its trajectories in (departure, y) order, with its
+    localized global model's estimates."""
+    pairs = []
+    for client in pool:
+        trips = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
+        y_hats = federated.base_predictions(client, trips, holidays)
+        pairs.append([(traj.y, y_hat) for traj, y_hat in zip(trips, y_hats)])
+    return pairs
+
+
+def fine_tune_personal(pool, config, holidays=frozenset()):
+    """federated.fine_tune_personal on the pool's localized_pairs."""
+    federated.fine_tune_personal(pool, localized_pairs(pool, holidays), config)

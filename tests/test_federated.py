@@ -21,13 +21,12 @@ from fedtte.federated import (
     client_update,
     day_instants,
     default_schedule,
-    fine_tune_personal,
     init_server,
     run_round,
     select_clients,
 )
 
-from conftest import base_loss_one
+from conftest import base_loss_one, fine_tune_personal, localized_pairs
 
 
 # ---------------------------------------------------------------- schedule
@@ -468,33 +467,28 @@ def test_fine_tune_never_touches_localized_global(tiny_cfg):
     assert nn.params_digest(client.localized_global.values) == digest
 
 
-@pytest.mark.parametrize("where", ["traffic_state", "personal_loss"])
-def test_fine_tune_cannot_write_the_frozen_model(tiny_cfg, monkeypatch, where):
-    # a stray write into the localized global model, from the forward that
-    # reads it or from the personal step, fails where it is made
-    world = _one_client_world()
-    client = _prepared_client(world, tiny_cfg, residual=5.0)
-    frozen = client.localized_global.values
-    digest = nn.params_digest(frozen)
-    real = getattr(federated, where)
-
-    def writing(*args, **kwargs):
-        frozen["head_e.b"][0] += 1.0
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(federated, where, writing)
-    with pytest.raises(ValueError, match="read-only"):
-        fine_tune_personal([client], FederatedConfig(personal_epochs=2, personal_lr=1e-4))
-    assert nn.params_digest(frozen) == digest
-    # the model is writable again once fine-tuning has returned
-    assert all(v.flags.writeable for v in frozen.values())
+def test_fine_tune_ignores_localized_global(tiny_world, tiny_cfg):
+    # the personal phase steps the given pairs only: without the localized
+    # global models it makes the same personal models, byte for byte
+    cfg = FederatedConfig(personal_epochs=20, personal_lr=1e-3)
+    pool = _pool_with_personal_models(tiny_world, tiny_cfg, [6, 4, 2])
+    bare = _pool_with_personal_models(tiny_world, tiny_cfg, [6, 4, 2])
+    pairs = localized_pairs(pool)
+    for client in bare:
+        client.localized_global = None
+    federated.fine_tune_personal(pool, pairs, cfg)
+    federated.fine_tune_personal(bare, pairs, cfg)
+    for client, other in zip(pool, bare):
+        _assert_same_bytes(client.personal.values, other.personal.values)
+    with pytest.raises(ValueError, match="pairs of every client"):
+        federated.fine_tune_personal(pool, pairs[:-1], cfg)
 
 
-def test_fine_tune_requires_localized_global(tiny_cfg):
+def test_base_predictions_require_localized_global():
     world = _one_client_world()
     client = build_clients(world)[0]
-    with pytest.raises(ValueError):
-        fine_tune_personal([client], FederatedConfig())
+    with pytest.raises(ValueError, match="no localized global model"):
+        federated.base_predictions(client, client.trajectories)
 
 
 def _pool_with_personal_models(world, tiny_cfg, counts):

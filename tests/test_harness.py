@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import data, harness, model
+from fedtte import data, federated, harness, model
 from fedtte.federated import FederatedConfig
 from fedtte.harness import (
     CONGESTION_BUCKETS,
@@ -400,6 +400,25 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
     assert cp1 == cp2
     for name in cp1:
         assert (out1 / "checkpoints" / name).read_bytes() == (out2 / "checkpoints" / name).read_bytes()
+
+
+def test_run_experiment_makes_one_traffic_state_pass_per_model(monkeypatch):
+    # one per trained round's served state, one per client's localized global
+    # model for both its personal pairs and its held-out trips, and one of the
+    # initial model for the baseline
+    passes = []
+    real = model.traffic_state
+
+    def counting(network, params, ctxs):
+        passes.append(params)
+        return real(network, params, ctxs)
+
+    monkeypatch.setattr(federated, "traffic_state", counting)
+    monkeypatch.setattr(harness, "traffic_state", counting)
+    result = run_experiment(_fast_config())
+    trained = sum(not r.skipped for r in result.rounds)
+    assert len(passes) == trained + len(result.clients) + 1
+    assert [id(p) for p in passes[trained:-1]] == [id(c.localized_global) for c in result.clients]
 
 
 def test_run_experiment_train_mae_decreases_single_client():

@@ -1,7 +1,7 @@
 """Base + personal model tests: embeddings, GCN, attention, route prediction,
-analytic gradients against finite differences. The embedding and graph
-convolution tests drive the model's own forward helpers (_embed_side,
-_gcn_stack_forward)."""
+analytic gradients against finite differences. The embedding, graph
+convolution and attention tests drive the model's own forward helpers
+(_embed_side, _gcn_stack_forward, _temporal_attention)."""
 
 from dataclasses import replace
 from datetime import datetime
@@ -101,19 +101,31 @@ def test_gcn_zero_theta_zero_output():
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
-# ---------------------------------------------------------------- temporal attention
+# ---------------------------------------------------------------- temporal attention (_temporal_attention)
+
+def attention_of_table(table, ctx):
+    """The attention read at ctx from a K x I table T: the temporal projection
+    whose slot rows 7 .. 7+K are T, every other row and the bias zero, on a
+    C = 1 stack."""
+    k, width = table.shape
+    cfg = ModelConfig(time_slots=k, head_width=width)
+    w = np.zeros((1, model.DAYS_PER_WEEK + k + cfg.holiday_dim, width))
+    w[0, model.DAYS_PER_WEEK : model.DAYS_PER_WEEK + k] = table
+    values = {"temporal.w": w, "temporal.b": np.zeros((1, width)), "temporal.holiday": np.ones((1, 2, cfg.holiday_dim))}
+    return model._temporal_attention(values, [ctx], cfg)[0][0]
+
 
 def test_attention_constant_table_uniform():
     table = np.full((4, 3), 1.7)
     ctx = TimeContext(day_of_week=0, slot=2, is_holiday=False)
-    a = model.temporal_attention(table, ctx)
+    a = attention_of_table(table, ctx)
     assert np.allclose(a, 0.25, atol=1e-15)
 
 
 def test_attention_log_weights_k2():
     table = np.array([[np.log(1.0)], [np.log(3.0)]])
     ctx = TimeContext(day_of_week=0, slot=1, is_holiday=False)
-    a = model.temporal_attention(table, ctx)
+    a = attention_of_table(table, ctx)
     assert np.allclose(a, [0.75], atol=1e-12)
 
 
@@ -124,14 +136,20 @@ def test_attention_components_in_open_unit_interval(seed):
     k, i = int(rng.integers(2, 6)), int(rng.integers(1, 5))
     table = rng.normal(scale=3.0, size=(k, i))
     ctx = TimeContext(day_of_week=0, slot=int(rng.integers(0, k)), is_holiday=False)
-    a = model.temporal_attention(table, ctx)
+    a = attention_of_table(table, ctx)
     assert np.all(a > 0.0)
     assert np.all(a < 1.0)
 
 
 def test_attention_rejects_out_of_range_slot():
     with pytest.raises(ValueError):
-        model.temporal_attention(np.zeros((4, 2)), TimeContext(day_of_week=0, slot=4, is_holiday=False))
+        attention_of_table(np.zeros((4, 2)), TimeContext(day_of_week=0, slot=4, is_holiday=False))
+
+
+@pytest.mark.parametrize("day, slot", [(7, 3), (-1, 3), (0, -1)])
+def test_time_context_rejects_a_day_or_slot_no_time_has(day, slot):
+    with pytest.raises(ValueError):
+        TimeContext(day_of_week=day, slot=slot)
 
 
 # ---------------------------------------------------------------- traffic_state
@@ -187,9 +205,10 @@ def test_traffic_state_ctx_enters_only_through_attention(tiny_world, tiny_cfg):
     w[7 + k :] = 0.0
     ctx_a = TimeContext(day_of_week=0, slot=2, is_holiday=False)
     ctx_b = TimeContext(day_of_week=5, slot=2, is_holiday=True)
+    values = stack([params.values])
     assert np.array_equal(
-        model.temporal_attention(model.build_temporal_table(params, ctx_a), ctx_a),
-        model.temporal_attention(model.build_temporal_table(params, ctx_b), ctx_b),
+        model._temporal_attention(values, [ctx_a], tiny_cfg)[0],
+        model._temporal_attention(values, [ctx_b], tiny_cfg)[0],
     )
     sa = model.traffic_state(net, params, [ctx_a])[ctx_a]
     sb = model.traffic_state(net, params, [ctx_b])[ctx_b]

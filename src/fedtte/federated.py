@@ -43,6 +43,7 @@ steps with _steps_ok and update with nn.sgd_step, each on its one flat buffer.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 
@@ -512,14 +513,30 @@ def run_round(
     return record, server.global_params, server.latest_state
 
 
+@contextmanager
+def _read_only(pool: list[ClientState]):
+    """The pool's localized global models are read-only inside the block, so
+    a stray write into one fails where it is made; writable again after."""
+    frozen = [v for c in pool if c.localized_global is not None for v in c.localized_global.values.values() if v.flags.writeable]
+    for v in frozen:
+        v.flags.writeable = False
+    try:
+        yield
+    finally:
+        for v in frozen:
+            v.flags.writeable = True
+
+
 def base_predictions(client: ClientState, trajectories: list[TrajectoryRecord], holidays: frozenset = frozenset()) -> list[float]:
     """The client's localized global model's estimate y_hat of each
-    trajectory's travel time, in order, from one traffic_state pass."""
+    trajectory's travel time, in order, from one traffic_state pass; the
+    model is read-only while it runs."""
     if client.localized_global is None:
         raise ValueError(f"client {client.client_id} has no localized global model")
     n_slots = client.localized_global.cfg.time_slots
     ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajectories]
-    states = traffic_state(client.network, client.localized_global, ctxs)
+    with _read_only([client]):
+        states = traffic_state(client.network, client.localized_global, ctxs)
     return [predict_route(states[ctx], traj.route) for traj, ctx in zip(trajectories, ctxs)]
 
 
@@ -535,7 +552,8 @@ def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedCo
     table rows their profiles read and the dense tensors, in one (C, P)
     buffer that is checked and updated as one tensor. The whole tables are
     written back once, after the last epoch; no client's result depends on
-    the others.
+    the others. The localized global models the clients hold are read-only
+    while this runs.
     """
     if len(pairs) != len(pool):
         raise ValueError(f"need the pairs of every client, got {len(pairs)} for {len(pool)}")
@@ -554,7 +572,7 @@ def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedCo
     ws = personal_working_set([c.profile for c in pool], [c.personal for c in pool])
     values = {"ws": ws.values}
     lr = config.personal_lr
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _read_only(pool), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.personal_epochs):
             for j in range(batch.shape[1]):
                 losses, grads = personal_loss(ws, batch[:, j : j + 1])

@@ -467,6 +467,28 @@ def test_fine_tune_never_touches_localized_global(tiny_cfg):
     assert nn.params_digest(client.localized_global.values) == digest
 
 
+@pytest.mark.parametrize("where", ["traffic_state", "personal_loss"])
+def test_fine_tune_cannot_write_the_frozen_model(tiny_cfg, monkeypatch, where):
+    # a stray write into the localized global model, from the forward that
+    # reads it (base_predictions) or from the personal step, fails where it is made
+    world = _one_client_world()
+    client = _prepared_client(world, tiny_cfg, residual=5.0)
+    frozen = client.localized_global.values
+    digest = nn.params_digest(frozen)
+    real = getattr(federated, where)
+
+    def writing(*args, **kwargs):
+        frozen["head_e.b"][0] += 1.0
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federated, where, writing)
+    with pytest.raises(ValueError, match="read-only"):
+        fine_tune_personal([client], FederatedConfig(personal_epochs=2, personal_lr=1e-4))
+    assert nn.params_digest(frozen) == digest
+    # the model is writable again once fine-tuning has returned
+    assert all(v.flags.writeable for v in frozen.values())
+
+
 def test_fine_tune_ignores_localized_global(tiny_world, tiny_cfg):
     # the personal phase steps the given pairs only: without the localized
     # global models it makes the same personal models, byte for byte

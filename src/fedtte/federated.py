@@ -8,11 +8,12 @@ the privacy config, and uploads it with its in-window sample count n_m. The
 chosen clients are trained in lockstep on stacked (C, ...) copies of the
 delivered model, step j of an epoch taking trajectory j of every client
 that has one; each client's steps, skips and noise are its own, so its
-upload is the same whichever other clients are chosen. The stack is one
-flat (C, P) buffer with a named (C, ...) view per tensor (nn.FlatStack),
-and base_loss writes its gradients into another, so a step checks and
-updates a single tensor; the localized models that outlive the round are
-copied out of it, one array per tensor. The
+upload is the same whichever other clients are chosen. Step j's receptive
+fields are built once for all epochs. The stack is one flat (C, P) buffer
+with a named (C, ...) view per tensor (nn.FlatStack), and base_loss writes
+its gradients into another and reports the columns it wrote, so a step
+checks and updates those columns of a single tensor; the localized models
+that outlive the round are copied out of the stack. The
 server folds the uploads into F <- sum (n_m / n) f_m in canonical client-id
 order, refreshes the served traffic state at the instant's slot, and records
 the round. Travel-time queries arriving before the next instant are answered
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from datetime import datetime, time, timedelta
 
 import numpy as np
@@ -156,29 +158,32 @@ class AggregationSchedule:
             if abs((end % 24) - nxt) > 1e-9:
                 raise ValueError(f"bands do not partition the day: {end % 24} != {nxt}")
 
+    @cached_property
+    def _band_of(self) -> dict[float, str]:
+        """Each aggregation time-of-day in hours, ascending, to its band's label."""
+        out: dict[float, str] = {}
+        for start, end, delta in self.bands:
+            length = (end - start) % 24 or 24.0
+            for i in range(int(round(length / delta))):
+                out.setdefault(round((start + i * delta) % 24, 9), f"{_fmt_hour(start)}-{_fmt_hour(end)}")
+        return dict(sorted(out.items()))
+
     def instants(self) -> list[float]:
         """Sorted aggregation times-of-day in hours."""
-        out: set[float] = set()
-        for start, end, delta in self.bands:
-            length = (end - start) % 24 or 24.0
-            steps = int(round(length / delta))
-            for i in range(steps):
-                out.add(round((start + i * delta) % 24, 9))
-        return sorted(out)
+        return list(self._band_of)
 
     def band_label(self, hour: float) -> str:
-        for start, end, delta in self.bands:
-            length = (end - start) % 24 or 24.0
-            steps = int(round(length / delta))
-            for i in range(steps):
-                if abs(((start + i * delta) % 24) - hour) < 1e-9:
-                    return f"{_fmt_hour(start)}-{_fmt_hour(end)}"
-        raise ValueError(f"{hour} is not an aggregation instant of this schedule")
+        if (label := self._band_of.get(round(hour % 24, 9))) is None:
+            raise ValueError(f"{hour} is not an aggregation instant of this schedule")
+        return label
 
 
 def _fmt_hour(h: float) -> str:
-    h = h % 24
-    return f"{int(h):02d}:{int(round((h - int(h)) * 60)):02d}"
+    """HH:MM of a time of day in hours, from its rounded whole seconds, and
+    :SS when those are not 0, so instants a second apart differ."""
+    minutes, seconds = divmod(round(h % 24 * 3600) % 86_400, 60)
+    label = f"{minutes // 60:02d}:{minutes % 60:02d}"
+    return f"{label}:{seconds:02d}" if seconds else label
 
 
 def default_schedule() -> AggregationSchedule:
@@ -333,16 +338,18 @@ def select_clients(pool, m: int, rng: np.random.Generator) -> list[str]:
 _MAX_STEP = 1.0
 
 
-def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float) -> np.ndarray:
+def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float, cols: nn.Columns = nn.ALL_COLUMNS) -> np.ndarray:
     """Per client, whether its step is finite and moves no coordinate further
     than _MAX_STEP, for (C,) losses and gradients stacked on a leading client
-    axis. A zero-size tensor (no numeric columns) moves nothing."""
+    axis, read at cols. Leaving out +0.0 gradients cannot raise a maximum of
+    |g| >= 0, so the columns base_loss writes decide as the whole buffer
+    does. A zero-size tensor (no numeric columns) moves nothing."""
     ok = np.isfinite(losses)
     for g in grads.values():
         if g.size:
             # max |g| without an |g| copy of the tensor, which on a large graph
             # would raise the run's peak memory; NaN propagates
-            rows = g.reshape(len(ok), -1)
+            rows = cols.read(g).reshape(len(ok), -1)
             ok &= lr * np.maximum(rows.max(axis=1), -rows.min(axis=1)) <= _MAX_STEP
     return ok
 
@@ -366,8 +373,8 @@ def client_update(
     every client that has one, and each client's arithmetic is its own.
     The stack is one (C, P) nn.FlatStack and base_loss writes its gradients
     into another, one buffer for all steps, so a step checks and updates
-    every tensor at once. The localized models are copied out of the stack,
-    one array per tensor.
+    the columns base_loss wrote at once. The localized models are copied
+    out of the stack, one array per tensor.
     """
     batches = [sorted(client.in_window(*window), key=lambda t: (t.departure, t.y)) for client in clients]
     for client, batch in zip(clients, batches):
@@ -408,26 +415,27 @@ def _lockstep_sgd(network, global_params, batches, config, holidays) -> list[nn.
     """Each client's tensors after local_epochs passes of per-trajectory SGD
     over its batch from the delivered model, one array per tensor, in the
     order of batches. The stack and the gradients live in the process's
-    _training_buffers, reused by every call."""
+    _training_buffers, reused by every call. Step j takes the same routes in
+    every epoch, so its receptive fields are built once."""
     # Longest batch first, so the clients with a j-th trajectory are a prefix
     # of the stack and step j runs on views of it.
     order = sorted(range(len(batches)), key=lambda i: -len(batches[i]))
-    counts = [len(batches[i]) for i in order]
     shapes = {k: v.shape for k, v in global_params.values.items()}
     stack_buffer, grad_buffer = _training_buffers(max(len(batches), config.clients_per_round), sum(math.prod(s) for s in shapes.values()))
     values = nn.FlatStack(shapes, len(batches), stack_buffer[: len(batches)])
+    grads = nn.FlatStack(shapes, len(batches), grad_buffer[: len(batches)])
     for k, v in values.items():
         v[...] = global_params.values[k]
+    steps = [[(batches[i][j].route, batches[i][j].y) for i in order if len(batches[i]) > j] for j in range(len(batches[order[0]]))]
+    field_cache: dict = {}
     lr = config.base_lr
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.local_epochs):
-            for j in range(counts[0]):
-                active = sum(count > j for count in counts)
-                stack = {k: v[:active] for k, v in values.items()}
-                steps = [(batches[i][j].route, batches[i][j].y) for i in order[:active]]
-                losses, grads = base_loss(network, global_params, stack, steps, holidays, grad_buffer)
-                step = {"flat": grads.buffer}
-                nn.sgd_step({"flat": values.buffer[:active]}, step, lr, _steps_ok(losses, step, lr))
+            for step in steps:
+                active = len(step)
+                losses, step_grads = base_loss(network, global_params, values.head(active), step, holidays, grads.head(active), field_cache)
+                cols, flat = step_grads.cols, {"flat": step_grads.buffer}
+                nn.sgd_step({"flat": values.buffer[:active]}, flat, lr, _steps_ok(losses, flat, lr, cols), cols)
     slot_of = {i: slot for slot, i in enumerate(order)}
     return [{k: v[slot_of[i]].copy() for k, v in values.items()} for i in range(len(batches))]
 

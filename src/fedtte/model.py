@@ -19,11 +19,13 @@ training; one client is C = 1). Each client's route is evaluated exactly on
 its receptive field: the edges within gcn_layers * hops line-graph hops of
 its edges and the nodes within as many node-graph hops of its interior
 nodes, convolved with the sub-block of the global normalized Laplacian over
-those rows (not renormalized). The clients' fields are padded to one width
-and convolved together through the block-diagonal matrix of their
-sub-blocks. When the rows around all the routes are more than half of a
-side, every client runs on the whole side instead. Each client's loss and
-gradients equal its own whole-graph pass byte for byte. The weight
+those rows (not renormalized). The clients' fields are found and cut in
+one pass, padded to one width and convolved together through the
+block-diagonal matrix of their sub-blocks. When the rows around all the
+routes are more than half of a side, every client runs on the whole side
+instead. Each client's loss and gradients equal its own whole-graph pass
+byte for byte; base_loss reports the gradient columns it writes, so a
+step checks and updates those only. The weight
 gradients sum over the field's rows in BLAS matrix products, so this
 identity holds with a BLAS that adds a product's rows in sequence; it was
 measured with OpenBLAS 0.3.31, and a BLAS that splits the rows into blocks
@@ -56,6 +58,7 @@ All backward passes are hand-written and certified by nn.check_gradients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -280,24 +283,6 @@ class _Field:
         return np.ascontiguousarray(out.reshape(n, c, d).transpose(1, 0, 2))
 
 
-def _block_diagonal(blocks: list[sp.csr_matrix], size: int) -> sp.csr_matrix:
-    """The blocks on the diagonal, each padded with empty rows and columns to
-    size; every row keeps its stored entries in their stored order."""
-    if len(blocks) == 1 and blocks[0].shape[0] == size:
-        return blocks[0]
-    index_dtype = blocks[0].indices.dtype
-    indptr = np.zeros(len(blocks) * size + 1, dtype=index_dtype)
-    offset = 0
-    for c, block in enumerate(blocks):
-        ends = indptr[1 + c * size : 1 + (c + 1) * size]
-        ends[:] = block.indptr[-1] + offset
-        ends[: block.shape[0]] = block.indptr[1:] + offset
-        offset += block.indptr[-1]
-    indices = np.concatenate([block.indices + c * size for c, block in enumerate(blocks)]).astype(index_dtype, copy=False)
-    data = np.concatenate([block.data for block in blocks])
-    return sp.csr_matrix((data, indices, indptr), shape=(len(blocks) * size,) * 2)
-
-
 def _whole_graph(network: RoadNetwork) -> tuple[_Field, _Field]:
     return (
         _Field(slice(None), None, network.laplacian_edges, network.n_edges),
@@ -305,68 +290,75 @@ def _whole_graph(network: RoadNetwork) -> tuple[_Field, _Field]:
     )
 
 
-def _reach(laplacian: sp.csr_matrix, seeds: list[int], radius: int) -> np.ndarray | None:
-    """Mask of the rows within `radius` hops of the seeds in the Laplacian's
-    sparsity pattern, or None when they are more than half the rows. Row i of
-    L @ h reads h only at i's stored entries, so a row at distance r from the
-    seeds is exact after radius - r propagation steps on the sub-block."""
-    n = laplacian.shape[0]
-    reached = np.zeros(n, dtype=bool)
-    reached[seeds] = True
-    for _ in range(radius):
-        if 2 * np.count_nonzero(reached) > n:
-            break
-        reached[laplacian.indices[np.repeat(reached, np.diff(laplacian.indptr))]] = True
-    # A field over more than half the rows costs more to gather, scatter and
-    # pad than the rows it saves (a 2-hop ball covers 32 of a 3x4 grid's 34
-    # edges), so it runs as the whole graph. This depends on the input only.
-    return None if 2 * np.count_nonzero(reached) > n else reached
-
-
-def _sub_block(laplacian: sp.csr_matrix, reached: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The reached rows and the Laplacian's sub-block over them. The sub-block
-    keeps each row's stored entries in their stored order, so L_sub @ h sums
-    a row's terms in the order L @ h does. It is cut from the CSR arrays
-    directly: scipy's laplacian[rows][:, rows] gives the same matrix, but made
-    the benchmark's stress run_s 7% slower (10 paired runs on a 2-vCPU host).
-    Its index arrays keep the Laplacian's integer type, so scipy does not
-    copy them into that type."""
-    rows = np.flatnonzero(reached)
-    index_dtype = laplacian.indices.dtype
-    local = np.cumsum(reached, dtype=index_dtype) - 1
-    counts = np.diff(laplacian.indptr)[rows]
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    entries = np.repeat(laplacian.indptr[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
-    cols = laplacian.indices[entries]
-    keep = reached[cols]
-    kept = np.zeros(len(cols) + 1, dtype=index_dtype)
-    np.cumsum(keep, out=kept[1:])
-    sub = sp.csr_matrix((laplacian.data[entries[keep]], local[cols[keep]], kept[offsets]), shape=(len(rows), len(rows)))
-    return rows, sub
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR positions of the rows' stored entries in order, the rows' counts and run starts."""
+    counts = indptr[rows + 1] - indptr[rows]
+    offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return np.repeat(indptr[rows] - offsets[:-1], counts) + np.arange(offsets[-1]), counts, offsets
 
 
 def _side_field(laplacian: sp.csr_matrix, seeds: list[list[int]], radius: int) -> _Field:
-    """Exact field of C clients' passes whose outputs are read at seeds[c].
+    """Exact fields of C clients' passes whose outputs are read at seeds[c],
+    all found and cut at once.
 
-    When the rows around all the seeds are more than half the side, every
-    client runs on the whole side, which holds its own field. Otherwise each
-    client runs on its own field: on their union, every client would compute
-    every other client's rows too.
+    Client c's field is the rows within radius hops of seeds[c] in the
+    Laplacian's sparsity pattern: row i of L @ h reads h only at i's stored
+    entries, so a row at distance r from the seeds is exact after radius - r
+    propagation steps on the sub-block. When the rows around all the seeds
+    are more than half the side, every client runs on the whole side, which
+    holds its own field: a field that large costs more to gather, scatter
+    and pad than the rows it saves (a 2-hop ball covers 32 of a 3x4 grid's
+    34 edges). Otherwise each client runs on its own field, since on their
+    union every client would compute every other client's rows too.
     """
-    n = laplacian.shape[0]
-    union = _reach(laplacian, [s for client_seeds in seeds for s in client_seeds], radius)
-    if union is None:
+    n, n_clients = laplacian.shape[0], len(seeds)
+    indptr, indices = laplacian.indptr, laplacian.indices
+    rows = np.fromiter(itertools.chain.from_iterable(seeds), dtype=np.intp)
+    # the union first, by whole-mask hops: the side often runs whole
+    reached = np.zeros(n, dtype=bool)
+    reached[rows] = True
+    for _ in range(radius):
+        if 2 * np.count_nonzero(reached) <= n:  # else decided: the whole side
+            reached[indices[np.repeat(reached, np.diff(indptr))]] = True
+    if 2 * np.count_nonzero(reached) > n:
         return _Field(slice(None), None, laplacian, n)
-    reaches = [union] if len(seeds) == 1 else [_reach(laplacian, client_seeds, radius) for client_seeds in seeds]
-    blocks = [_sub_block(laplacian, reached) for reached in reaches]
-    width = max(len(rows) for rows, _ in blocks)
-    padded = np.zeros((len(blocks), width), dtype=np.intp)
-    valid = np.zeros((len(blocks), width), dtype=bool)
-    for c, (rows, _) in enumerate(blocks):
-        padded[c, : len(rows)] = rows
-        padded[c, len(rows) :] = rows[-1] if len(rows) else 0
-        valid[c, : len(rows)] = True
-    return _Field(padded, valid, _block_diagonal([sub for _, sub in blocks], width), n)
+    if n_clients > 1:
+        # (client, row) pairs as base + row, base = client * n, grown hop by hop
+        base = np.repeat(np.arange(0, n_clients * n, n), [len(client_seeds) for client_seeds in seeds])
+        reached = np.zeros(n_clients * n, dtype=bool)
+        reached[base + rows] = True
+        for _ in range(radius):
+            entries, counts, _ = _row_entries(indptr, rows)
+            rows, base = indices[entries], np.repeat(base, counts)
+            fresh = ~reached[base + rows]
+            rows, base = rows[fresh], base[fresh]
+            reached[base + rows] = True
+    # Block-diagonal row c * width + k is client c's k-th row; a padding row
+    # is empty. Rows keep their stored entries in stored order, so a product
+    # sums a row's terms as L @ h does. Cut from the CSR arrays in their index
+    # type: scipy's laplacian[rows][:, rows] made stress run_s 7% slower.
+    pairs = np.flatnonzero(reached)
+    base, rows = np.divmod(pairs, n)
+    sizes = np.bincount(base, minlength=n_clients)
+    width = int(sizes.max())
+    valid = np.arange(width) < sizes[:, None]
+    block_rows = np.flatnonzero(valid)
+    local = np.empty(n_clients * n, dtype=indices.dtype)
+    local[pairs] = block_rows
+    entries, counts, offsets = _row_entries(indptr, rows)
+    cols = indices[entries] + np.repeat(base * n, counts)
+    keep = reached[cols]
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    block_ptr = np.zeros(n_clients * width + 1, dtype=indices.dtype)
+    block_ptr[block_rows + 1] = kept[offsets[1:]]
+    np.maximum.accumulate(block_ptr, out=block_ptr)  # a padding row ends where the row before it does
+    block = sp.csr_matrix((laplacian.data[entries[keep]], local[cols[keep]], block_ptr), shape=(n_clients * width,) * 2)
+    padded = np.zeros((n_clients, width), dtype=np.intp)
+    padded[valid] = rows
+    if width:  # a padding row repeats the client's last row, or row 0 for an empty field
+        padded[~valid] = np.repeat(padded[np.arange(n_clients), np.maximum(sizes - 1, 0)], width - sizes)
+    return _Field(padded, valid, block, n)
 
 
 def _receptive_field(network: RoadNetwork, cfg: ModelConfig, routes: list[Route]) -> tuple[_Field, _Field]:
@@ -543,7 +535,8 @@ def base_loss(
     values: nn.ParamSet,
     batch: list[tuple[Route, float]],
     holidays: frozenset = frozenset(),
-    grad_buffer: np.ndarray | None = None,
+    grads: nn.FlatStack | None = None,
+    field_cache: dict | None = None,
 ) -> tuple[np.ndarray, nn.FlatStack]:
     """Per-client squared route errors (C,) and gradients over every base tensor.
 
@@ -552,14 +545,8 @@ def base_loss(
     numeric-feature standardization, which every client shares. Client c's
     loss is (prediction of its route under values[c] - y)^2 and its gradients
     touch only its own slice. A single client is the case C = 1. The
-    gradients are a nn.FlatStack, views into one zeroed (C, P) buffer in
+    gradients are a nn.FlatStack, views into one (C, P) buffer in
     sorted-name order, so a step can check and update them as one tensor.
-    grad_buffer, when given, has at least C rows of P, and its first C rows
-    are zeroed and written instead of a new buffer. Local training passes
-    the gradient buffer it keeps for the process (federated._training_buffers):
-    a new buffer per step, its size changing with the number of clients
-    stepped, fragmented the heap, and the benchmark's stress peak RSS read
-    several MB higher.
 
     Forward and backward run on each client's own receptive field, padded
     to the widest client's, or on the whole side where the rows around all
@@ -567,6 +554,16 @@ def base_loss(
     route's whole receptive field, so each client's loss and gradients
     equal those of its own whole-graph pass byte for byte, and the rows of
     edge- and node-indexed gradients outside its field are +0.0.
+    field_cache, when given, is a dict a caller stepping the same routes on
+    the same network and model again keeps between calls: a batch's fields
+    are built on the first call and read from it after.
+
+    The gradients' cols name the columns this call writes: every tensor
+    whole, except embed_*.identity and head_*.b at the client's field rows
+    (every column when both sides run whole); in a new buffer the others
+    are +0.0. grads, when given, is a FlatStack congruent with values to
+    write into instead, such as views of local training's kept buffer: only
+    the columns written are zeroed first, the others keep what they held.
     """
     if not batch or len(batch) != len(values["head_e.b"]):
         raise ValueError(f"need one (route, y) per client, got {len(batch)} for {len(values['head_e.b'])}")
@@ -574,11 +571,19 @@ def base_loss(
     scale = cfg.output_scale
     n_clients = len(batch)
     clients = np.arange(n_clients)
-    fields = _receptive_field(network, cfg, [route for route, _ in batch])
-    field_e, field_v = fields
+    cache, routes = {} if field_cache is None else field_cache, tuple(route for route, _ in batch)
+    if routes not in cache:
+        cache[routes] = _receptive_field(network, cfg, list(routes))
+    fields = field_e, field_v = cache[routes]
     fw = _heads_forward(network, params, values, fields)
     ue, uv = fw["ue"], fw["uv"]
-    grads = nn.zeros_stack(values, grad_buffer)
+    reused = grads is not None
+    grads = grads if reused else nn.zeros_stack(values)
+    grads.cols = _written_columns(fields, grads)
+    if reused:
+        written = grads.cols.read(grads.buffer)
+        written[...] = 0.0
+        grads.cols.write(grads.buffer, written)
 
     ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
     attn, probs, code = _temporal_attention(values, ctxs, cfg)
@@ -632,6 +637,25 @@ def base_loss(
         grads[f"num_proj_{side}.w"] += np.matmul(np.swapaxes(x_std, -1, -2), d_h0)
         grads[f"num_proj_{side}.b"] += d_h0.sum(axis=1)
     return losses, grads
+
+
+def _written_columns(fields: tuple[_Field, _Field], grads: nn.FlatStack) -> nn.Columns:
+    """The columns of grads.buffer that base_loss writes for each client:
+    embed_*.identity and head_*.b at its field rows (padding rows repeat
+    one), and every other tensor whole: the gaps between those four."""
+    if all(field.whole for field in fields):
+        return nn.ALL_COLUMNS
+    n_clients, width = grads.buffer.shape
+    parts, spans = [], []
+    for side, field in zip("ev", fields):
+        rows = np.broadcast_to(np.arange(field.n_total), (n_clients, field.n_total)) if field.whole else field.rows
+        for name in (f"embed_{side}.identity", f"head_{side}.b"):
+            start, per_row = grads.start[name], math.prod(grads[name].shape[2:])
+            parts.append((start + per_row * rows[:, :, None] + np.arange(per_row)).reshape(n_clients, -1))
+            spans.append((start, start + grads[name][0].size))
+    starts, ends = zip(*sorted(spans))
+    dense = np.concatenate([np.arange(a, b) for a, b in zip((0, *ends), (*starts, width))])
+    return nn.Columns(np.concatenate([*parts, np.broadcast_to(dense, (n_clients, len(dense)))], axis=1), width)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ mutate their inputs, except sgd_step, which updates the private (C, ...)
 stacks that training steps in lockstep. GradSet is the same shape of object,
 keyed and shaped congruently with the ParamSet it differentiates. A
 FlatStack is a ParamSet of C clients' (C, ...) tensors that are views into
-one (C, P) buffer, so that a step can treat them as one tensor.
+one (C, P) buffer, so that a step can treat them as one tensor, and Columns
+selects the coordinates of such a buffer that a step reads and writes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -79,51 +81,90 @@ def clone_params(params: ParamSet) -> ParamSet:
     return {k: v.copy() for k, v in params.items()}
 
 
+@functools.lru_cache(maxsize=8)
+def _layout(shapes: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[tuple[tuple[str, int, tuple[int, ...]], ...], int]:
+    """(name, start column, shape) per tensor of sorted (name, shape) pairs, and the width."""
+    starts = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+    return tuple((name, start, shape) for (name, shape), start in zip(shapes, starts)), starts[-1]
+
+
+class Columns:
+    """The coordinates of C clients' (C, P) tensors that a step reads and
+    writes: every one (ALL_COLUMNS), or client c's columns per_client[c] of a
+    (C, K) array, in which a column may repeat; positions are their flat
+    positions in a C-contiguous (C, P) tensor, P = width."""
+
+    def __init__(self, per_client: np.ndarray | None = None, width: int = 0):
+        self.shape = None if per_client is None else (len(per_client), width)
+        self.positions = None if per_client is None else per_client + width * np.arange(len(per_client))[:, None]
+
+    def _flat(self, a: np.ndarray) -> np.ndarray:
+        if a.shape != self.shape or not a.flags.c_contiguous:
+            raise ValueError(f"columns of C-contiguous {self.shape} tensors, got {a.shape}")
+        return a.reshape(-1)
+
+    def read(self, a: np.ndarray) -> np.ndarray:
+        """a itself for every column, else a (C, K) copy of the columns."""
+        return a if self.positions is None else self._flat(a).take(self.positions)
+
+    def write(self, a: np.ndarray, x: np.ndarray) -> None:
+        """Store x, a read of a, back into a (nothing to do for every column)."""
+        if self.positions is not None:
+            self._flat(a)[self.positions] = x
+
+
+ALL_COLUMNS = Columns()
+
+
 class FlatStack(dict):
     """C clients' tensors as named (C, ...) views into one (C, P) buffer,
     laid out in sorted-name order, starting at zero. The views are the
     ParamSet that forward and backward passes read and write; buffer holds
     the same coordinates as one tensor, for a step that checks and updates
-    them all at once. Row c of buffer is client c's coordinates. buffer,
-    when given, is an (n, P) float64 array to reuse; it is zeroed."""
+    them all at once. Row c of buffer is client c's coordinates; a tensor
+    starts at column start[name]. buffer, when given, is an (n, P) float64
+    array to lay the views over, its contents kept. cols names the columns
+    that hold values: all, unless a writer (model.base_loss) says fewer."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], n: int, buffer: np.ndarray | None = None):
         super().__init__()
-        sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+        layout, width = _layout(tuple(sorted(shapes.items())))
         if buffer is None:
-            buffer = np.zeros((n, sum(sizes.values())))
-        elif buffer.shape != (n, sum(sizes.values())):
-            raise ValueError(f"buffer of shape {buffer.shape} for {n} clients of {sum(sizes.values())} coordinates")
-        else:
-            buffer[...] = 0.0
-        self.buffer = buffer
-        offset = 0
-        for name in sorted(shapes):
-            self[name] = self.buffer[:, offset : offset + sizes[name]].reshape(n, *shapes[name])
-            offset += sizes[name]
+            buffer = np.zeros((n, width))
+        elif buffer.shape != (n, width):
+            raise ValueError(f"buffer of shape {buffer.shape} for {n} clients of {width} coordinates")
+        self.buffer, self.cols, self.start = buffer, ALL_COLUMNS, {name: start for name, start, _ in layout}
+        for name, start, shape in layout:
+            self[name] = buffer[:, start : start + math.prod(shape)].reshape(n, *shape)
+
+    def head(self, n: int) -> "FlatStack":
+        """The first n clients: views into the first n rows of buffer."""
+        out = FlatStack.__new__(FlatStack)
+        out.update((name, v[:n]) for name, v in self.items())
+        out.buffer, out.cols, out.start = self.buffer[:n], ALL_COLUMNS, self.start
+        return out
 
 
-def zeros_stack(values: ParamSet, buffer: np.ndarray | None = None) -> FlatStack:
-    """Zeros congruent with C clients' (C, ...) stacked tensors, in one
-    buffer: a new one, or the first C rows of the given one."""
-    shapes = {k: v.shape[1:] for k, v in values.items()}
-    n = len(next(iter(values.values())))
-    return FlatStack(shapes, n, None if buffer is None else buffer[:n])
+def zeros_stack(values: ParamSet) -> FlatStack:
+    """Zeros congruent with C clients' (C, ...) stacked tensors, in one new buffer."""
+    return FlatStack({k: v.shape[1:] for k, v in values.items()}, len(next(iter(values.values()))))
+
+
+def _serialized(params: ParamSet):
+    """serialize_params's bytes in pieces: a tensor that is C-contiguous
+    little-endian float64 already is passed as it is, not copied."""
+    yield _MAGIC + struct.pack("<II", _VERSION, len(params))
+    for name in sorted(params):
+        arr = np.asarray(params[name], dtype=np.float64)  # keeps a 0-d tensor 0-d
+        raw_name = name.encode("utf-8")
+        yield struct.pack("<I", len(raw_name)) + raw_name + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f8")
 
 
 def serialize_params(params: ParamSet) -> bytes:
     """Flat binary form: header, then per name in lexicographic order:
     name length, name bytes, rank, dims, raw float64 little-endian data."""
-    chunks = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(params))]
-    for name in sorted(params):
-        arr = np.asarray(params[name], dtype=np.float64)  # keeps a 0-d tensor 0-d
-        raw_name = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw_name)))
-        chunks.append(raw_name)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.astype("<f8").tobytes())
-    return b"".join(chunks)
+    return b"".join(_serialized(params))
 
 
 def deserialize_params(buf: bytes) -> ParamSet:
@@ -163,7 +204,7 @@ def deserialize_params(buf: bytes) -> ParamSet:
 
 def save_params(params: ParamSet, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_params(params))
+        fh.writelines(_serialized(params))
 
 
 def load_params(path) -> ParamSet:
@@ -172,8 +213,12 @@ def load_params(path) -> ParamSet:
 
 
 def params_digest(params: ParamSet) -> str:
-    """Short stable content digest (sha256 prefix of the serialized bytes)."""
-    return hashlib.sha256(serialize_params(params)).hexdigest()[:16]
+    """Short stable content digest (sha256 prefix of the serialized bytes),
+    hashed piece by piece, so the tensors are not copied."""
+    h = hashlib.sha256()
+    for piece in _serialized(params):
+        h.update(piece)
+    return h.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +247,23 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def sgd_step(values: ParamSet, grads: GradSet, lr: float, take: np.ndarray) -> None:
+def sgd_step(values: ParamSet, grads: GradSet, lr: float, take: np.ndarray, cols: Columns = ALL_COLUMNS) -> None:
     """One plain SGD update p <- p - lr * g, in place, for the clients c of
     (C, ...) stacked tensors with take[c] True; the others keep their values.
 
-    Whole tensors are updated: where a gradient is +0.0 (an embedding row no
-    input looked up, or a padding slot of the personal working set),
-    p - lr * 0.0 == p for the finite lr a taken step implies. Both training
-    phases pass their clients' coordinates as one (C, P) tensor: local
-    training a FlatStack's buffer, the personal phase its working set.
-    lr * g overwrites the gradients, which are not read again.
+    The coordinates cols selects are updated (every one by default). Where
+    a gradient is +0.0 (an embedding row no input looked up, or a padding
+    slot of the personal working set), p - lr * 0.0 == p for the finite lr
+    a taken step implies, so such a coordinate may be left out. Both
+    training phases pass their clients' coordinates as one (C, P) tensor:
+    local training a FlatStack's buffer and the columns base_loss wrote, the
+    personal phase its working set. lr * g may overwrite the gradients.
     """
     for name, p in values.items():
-        step = np.multiply(grads[name], lr, out=grads[name])
-        np.subtract(p, step, out=p, where=take.reshape(-1, *(1,) * (p.ndim - 1)))
+        g, x = cols.read(grads[name]), cols.read(p)
+        step = np.multiply(g, lr, out=g)
+        np.subtract(x, step, out=x, where=take.reshape(-1, *(1,) * (x.ndim - 1)))
+        cols.write(p, x)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ ALLOWED = {
     "data.load_trajectories": "ingestion API for external trajectory data",
     "graph.load_network": "ingestion API for external road networks",
     "nn.check_gradients": "the finite-difference oracle that certifies every analytic backward pass",
+    "nn.serialize_params": "the upload and checkpoint wire format that params_digest and save_params stream; the benchmark sizes uploads with it",
 }
 
 

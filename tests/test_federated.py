@@ -89,6 +89,32 @@ def test_band_label():
     assert sched.band_label(3.0) == "23:00-07:00"
 
 
+def test_time_labels_of_a_sub_minute_schedule_are_distinct():
+    # one instant every 30 s: rounding to minutes gave 07:59:30 the label
+    # "07:60" and 07:00:30 the label of 07:00
+    sched = AggregationSchedule(bands=((0.0, 24.0, 1 / 120),))
+    labels = [instant.label for instant in day_instants(sched, 0)]
+    assert len(labels) == 2880 == len(set(labels))
+    assert labels[:3] == ["00:00", "00:00:30", "00:01"] and labels[959] == "07:59:30"
+    # whole minutes keep their HH:MM labels
+    assert [i.label for i in day_instants(default_schedule(), 0)][:3] == ["03:00", "07:00", "07:30"]
+    assert AggregationSchedule(bands=((7.5, 7.5, 24.0),)).band_label(7.5) == "07:30-07:30"
+    assert AggregationSchedule(bands=((0.0, 24.0, 1 / 3600),)).band_label(23 + 3599 / 3600) == "00:00-00:00"
+
+
+def test_schedule_band_of_every_instant_matches_a_walk_over_the_bands():
+    sched = AggregationSchedule(bands=((22.0, 6.0, 0.25), (6.0, 10.0, 1 / 60), (10.0, 22.0, 3.0)))
+    walked = {}
+    for start, end, delta in sched.bands:
+        length = (end - start) % 24 or 24.0
+        for i in range(int(round(length / delta))):
+            walked.setdefault(round((start + i * delta) % 24, 9), federated._fmt_hour(start) + "-" + federated._fmt_hour(end))
+    assert sched.instants() == sorted(walked)
+    assert [sched.band_label(h) for h in sched.instants()] == [walked[h] for h in sorted(walked)]
+    with pytest.raises(ValueError):
+        sched.band_label(6.5 + 1 / 7200)
+
+
 # ---------------------------------------------------------------- config
 
 def test_federated_config_validation():
@@ -753,6 +779,100 @@ def test_client_update_ignores_what_its_reused_buffers_held():
     for client, (upload, _), (expected_upload, expected_values) in zip(clients, client_update(clients, global_params, cfg, _DAY0, 2), expected):
         _assert_same_bytes_params(upload, expected_upload)
         _assert_same_bytes_params(client.localized_global.values, expected_values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_steps_on_the_written_columns_equal_steps_on_the_whole_buffer(seed):
+    # Local training zeroes, checks and updates only the gradient columns
+    # base_loss writes, in a buffer that keeps what earlier steps left in it.
+    # After many steps the bytes must be those of steps on a new, whole
+    # gradient buffer: with -0.0 parameters, steps skipped for NaN, inf or
+    # size, clients a step does not take, and fields padded to the widest.
+    world = _LOCKSTEP_WORLDS["10x10"]
+    net, rng = world.network, np.random.default_rng(seed)
+    global_params = model.init_base_params(net, _LOCKSTEP_CFG, seed % 4)
+    shapes = {k: v.shape for k, v in global_params.values.items()}
+    n_clients = 3
+    stacks = [nn.FlatStack(shapes, n_clients) for _ in range(2)]
+    for stack in stacks:
+        for k, v in stack.items():
+            v[...] = global_params.values[k]
+            v[:, ::3] = -0.0
+    grads = nn.FlatStack(shapes, n_clients)
+    grads.buffer[...] = np.nan  # stale: what a reused buffer might hold
+    # routes cut to one edge (an empty node field) or to edge, node, edge,
+    # so that both sides run on strict fields
+    routes = [replace(t.route, steps=t.route.steps[:cut]) for t in data.sample_trajectories(world, 0) for cut in (1, 3)]
+    lr, skipped, untaken, padded = 1e-6, 0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(12):
+            active = int(rng.integers(1, n_clients + 1))
+            batch = [(routes[i], float(y)) for i, y in zip(rng.integers(0, len(routes), active), rng.uniform(0.0, 2000.0, active))]
+            k = int(rng.integers(0, active))
+            batch[k] = (batch[k][0], float(rng.choice([np.nan, np.inf, 1e9, batch[k][1]])))
+            fields = model._receptive_field(net, _LOCKSTEP_CFG, [route for route, _ in batch])
+            assert not any(f.whole for f in fields)
+            padded += int(not fields[0].valid.all())
+            takes = rng.random(active) < 0.8
+            verdicts = []
+            for stack, reuse in zip(stacks, (True, False)):
+                values = stack.head(active)
+                losses, g = model.base_loss(net, global_params, values, batch, frozenset(), grads.head(active) if reuse else None)
+                cols = g.cols if reuse else nn.ALL_COLUMNS
+                flat = {"flat": g.buffer}
+                ok = federated._steps_ok(losses, flat, lr, cols)
+                nn.sgd_step({"flat": values.buffer}, flat, lr, takes & ok, cols)
+                verdicts.append(ok.tolist())
+            assert verdicts[0] == verdicts[1]
+            skipped += verdicts[0].count(False)
+            untaken += int(not takes.all())
+            assert stacks[0].buffer.tobytes() == stacks[1].buffer.tobytes()
+    assert np.signbit(stacks[0]["embed_e.identity"]).any()
+    assert skipped and untaken and padded
+
+
+def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatch):
+    # step j takes the same routes in every epoch, so local training builds
+    # its fields once, in base_loss's field cache; each must equal a build
+    # for its routes, and the result must equal steps that each build their own
+    global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, True, 0)
+    cfg = FederatedConfig(local_epochs=3, base_lr=1e-6, dp_epsilon=10.0, seed=3)
+    build, builds, caches = model._receptive_field, [], []
+
+    def counting_build(network, model_cfg, routes):
+        builds.append(len(routes))
+        return build(network, model_cfg, routes)
+
+    def recording_loss(network, params, values, batch, holidays, grads, field_cache):
+        caches.append(field_cache)
+        return model.base_loss(network, params, values, batch, holidays, grads, field_cache)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "_receptive_field", counting_build)
+        m.setattr(federated, "base_loss", recording_loss)
+        reused = client_update(clients, global_params, cfg, _DAY0, 2)
+    assert builds == [3, 3, 2, 1] and len(caches) == len(builds) * cfg.local_epochs
+    assert all(cache is caches[0] for cache in caches) and len(caches[0]) == len(builds)
+    strict = 0
+    for routes, fields in caches[0].items():
+        for got, want in zip(fields, build(clients[0].network, global_params.cfg, list(routes))):
+            assert got.whole == want.whole
+            if got.whole:
+                assert got.laplacian is want.laplacian
+                continue
+            strict += 1
+            assert got.rows.tobytes() == want.rows.tobytes() and got.valid.tobytes() == want.valid.tobytes()
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got.laplacian, part).tobytes() == getattr(want.laplacian, part).tobytes()
+    assert strict
+    reused_values = [c.localized_global.values for c in clients]
+    global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, True, 0)
+    with monkeypatch.context() as m:
+        m.setattr(federated, "base_loss", lambda network, params, values, batch, holidays, grads, _: model.base_loss(network, params, values, batch, holidays, grads))
+        rebuilt = client_update(clients, global_params, cfg, _DAY0, 2)
+    for (upload, _), (expected, _), client, values in zip(rebuilt, reused, clients, reused_values):
+        _assert_same_bytes_params(upload, expected)
+        _assert_same_bytes_params(client.localized_global.values, values)
 
 
 def test_client_update_gives_each_client_its_own_localized_copy(tiny_world, tiny_cfg):

@@ -402,6 +402,23 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
         assert (out1 / "checkpoints" / name).read_bytes() == (out2 / "checkpoints" / name).read_bytes()
 
 
+def test_sub_minute_schedule_writes_one_checkpoint_per_trained_round(tmp_path):
+    # one instant every 30 s; labels rounded to minutes made rounds 30 s
+    # apart share a checkpoint name, and the later overwrote the earlier
+    cfg = replace(
+        _fast_config(tmp_path / "run", trips_per_day=60),
+        schedule=federated.AggregationSchedule(bands=((0.0, 24.0, 1 / 120),)),
+        federated=FederatedConfig(clients_per_round=3, local_epochs=1, base_lr=1e-6, personal_epochs=1),
+        max_rounds=None,
+    )
+    result = run_experiment(cfg)
+    trained = [r for r in result.rounds if not r.skipped]
+    names = sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir())
+    assert len(result.rounds) == 2880 and len(trained) > 1
+    assert names == sorted([f"global_d{r.day:02d}_{r.time_label.replace(':', '')}.bin" for r in trained] + ["global_final.bin"])
+    assert any(len(r.time_label) == 8 for r in trained)  # HH:MM:SS
+
+
 def test_run_experiment_makes_one_traffic_state_pass_per_model(monkeypatch):
     # one per trained round's served state, one per client's localized global
     # model for both its personal pairs and its held-out trips, and one of the

@@ -8,6 +8,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -434,6 +435,128 @@ def test_field_scatter_add_writes_into_a_non_contiguous_destination():
         assert not buffer[:, :7].any() and not buffer[:, 7 + size :].any()
 
 
+# The per-client field search and sub-block cut that _side_field replaced,
+# kept here as its reference: one mask search per client over the whole
+# Laplacian, one scipy sub-block per client, and the block-diagonal matrix
+# of those blocks padded to the widest.
+
+def _reference_reach(laplacian, seeds, radius):
+    n = laplacian.shape[0]
+    reached = np.zeros(n, dtype=bool)
+    reached[seeds] = True
+    for _ in range(radius):
+        reached[laplacian.indices[np.repeat(reached, np.diff(laplacian.indptr))]] = True
+    return reached
+
+
+def _reference_sub_block(laplacian, reached):
+    rows = np.flatnonzero(reached)
+    index_dtype = laplacian.indices.dtype
+    local = np.cumsum(reached, dtype=index_dtype) - 1
+    data_, indices, indptr = [], [], [0]
+    for row in rows:
+        for k in range(laplacian.indptr[row], laplacian.indptr[row + 1]):
+            col = laplacian.indices[k]
+            if reached[col]:
+                data_.append(laplacian.data[k])
+                indices.append(local[col])
+        indptr.append(len(indices))
+    return rows, np.array(data_, dtype=laplacian.data.dtype), np.array(indices, dtype=index_dtype), np.array(indptr, dtype=index_dtype)
+
+
+def _reference_side_field(laplacian, seeds, radius):
+    """(rows, valid, data, indices, indptr) of the padded block-diagonal
+    field, or None for the whole side."""
+    n = laplacian.shape[0]
+    if 2 * np.count_nonzero(_reference_reach(laplacian, [s for c in seeds for s in c], radius)) > n:
+        return None
+    blocks = [_reference_sub_block(laplacian, _reference_reach(laplacian, c, radius)) for c in seeds]
+    width = max(len(rows) for rows, *_ in blocks)
+    padded = np.zeros((len(seeds), width), dtype=np.intp)
+    valid = np.zeros((len(seeds), width), dtype=bool)
+    data_, indices, indptr = [], [], [np.zeros(1, dtype=laplacian.indices.dtype)]
+    offset = 0
+    for c, (rows, d, i, ptr) in enumerate(blocks):
+        padded[c, : len(rows)] = rows
+        padded[c, len(rows) :] = rows[-1] if len(rows) else 0
+        valid[c, : len(rows)] = True
+        data_.append(d)
+        indices.append(i + c * width)
+        ends = np.full(width, ptr[-1] + offset, dtype=ptr.dtype)
+        ends[: len(rows)] = ptr[1:] + offset
+        indptr.append(ends)
+        offset += ptr[-1]
+    return padded, valid, np.concatenate(data_), np.concatenate(indices).astype(laplacian.indices.dtype), np.concatenate(indptr)
+
+
+@st.composite
+def _graphs_and_seeds(draw):
+    """A symmetric sparsity pattern on n rows, some of them isolated (no
+    entry, or only the diagonal), each row's entries stored in a drawn
+    order, and 1-4 clients' seed rows, possibly none or repeated."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    diagonal = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    entries = {(i, i) for i in range(n) if diagonal[i]} | {(i, j) for i, j in pairs} | {(j, i) for i, j in pairs}
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = [[j for i, j in sorted(entries) if i == r] for r in range(n)]
+    for row in rows:
+        if draw(st.booleans()):
+            rng.shuffle(row)
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.int32)
+    indices = np.array([j for row in rows for j in row], dtype=np.int32)
+    laplacian = sp.csr_matrix((rng.normal(size=len(indices)), indices, indptr), shape=(n, n))
+    seeds = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=5), min_size=1, max_size=4))
+    return laplacian, seeds, draw(st.integers(0, 3))
+
+
+def _assert_field_matches_reference(laplacian, seeds, radius):
+    field = model._side_field(laplacian, seeds, radius)
+    expected = _reference_side_field(laplacian, seeds, radius)
+    assert field.whole == (expected is None)
+    if expected is None:
+        assert field.laplacian is laplacian and field.n_total == laplacian.shape[0]
+        return
+    rows, valid, data_, indices, indptr = expected
+    block = field.laplacian
+    for got, want in ((field.rows, rows), (field.valid, valid), (block.data, data_), (block.indices, indices), (block.indptr, indptr)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert block.shape == (len(seeds) * rows.shape[1],) * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_graphs_and_seeds())
+def test_side_field_matches_the_per_client_reference(case):
+    _assert_field_matches_reference(*case)
+
+
+def test_side_field_on_exactly_half_the_side_is_a_field():
+    # more than half the rows runs the whole side; exactly half does not
+    net = GRID_10.network
+    half = net.n_edges // 2
+    _assert_field_matches_reference(net.laplacian_edges, [list(range(half // 2)), list(range(half // 2, half))], 0)
+    assert not model._side_field(net.laplacian_edges, [list(range(half))], 0).whole
+    assert model._side_field(net.laplacian_edges, [list(range(half)), [half]], 0).whole
+    # routes with no interior node: every node field is empty
+    _assert_field_matches_reference(net.laplacian_nodes, [[], []], 2)
+    for seeds in ([[0, 5], [100, 101, 102], [7]], [[3, 3, 3], [3]], [[359], [0]]):
+        _assert_field_matches_reference(net.laplacian_edges, seeds, 2)
+
+
+def test_stacked_shared_base_loss_on_strict_fields_finite_difference(tiny_cfg):
+    # nn.check_gradients through conftest.shared_base_loss: three routes
+    # under one model, each stepped as a client on its own strict field
+    cfg = replace(tiny_cfg, hops=1, embed_dim=2, head_width=2)
+    net = make_path_network(25)
+    routes = [route_of([("e", e), ("v", e + 1), ("e", e + 1)], departure=MIDNIGHT.replace(hour=8)) for e in (0, 10, 20)]
+    assert not any(f.whole for f in model._receptive_field(net, cfg, routes))
+    base = model.init_base_params(net, cfg, seed=4)
+    ctx = TimeContext.from_datetime(routes[0].departure_time, cfg.time_slots)
+    state = model.traffic_state(net, base, [ctx])[ctx]
+    batch = [(route, model.predict_route(state, route) + 1.0) for route in routes]
+    assert nn.check_gradients(shared_base_loss(net, base, batch), base.values, None, eps=1e-5) < 1e-4
+
+
 def test_base_loss_gradients_are_one_flat_buffer():
     # row c of the buffer is client c's gradients, tensor by tensor in
     # sorted-name order
@@ -445,10 +568,23 @@ def test_base_loss_gradients_are_one_flat_buffer():
     for c in range(len(batch)):
         assert np.concatenate([grads[name][c].ravel() for name in sorted(grads)]).tobytes() == grads.buffer[c].tobytes()
     assert all(np.shares_memory(g, grads.buffer) for g in grads.values() if g.size)
-    # a reused buffer, with more rows and stale values, gives the same bytes
-    reused = np.full((len(batch) + 2, grads.buffer.shape[1]), np.nan)
-    _, again = model.base_loss(net, params, values, batch, grad_buffer=reused)
-    assert np.shares_memory(again.buffer, reused) and again.buffer.tobytes() == grads.buffer.tobytes()
+    # On strict fields (single-edge routes: their node fields are empty) the
+    # columns the call does not report writing are +0.0 in a new buffer, and
+    # a reused stack, with more rows and stale values, gets the same bytes in
+    # the columns written and keeps its stale values in the others.
+    batch = [(route_of([("e", e)], departure=MIDNIGHT.replace(hour=8)), 100.0) for e in (0, 150, 300)]
+    assert not any(f.whole for f in model._receptive_field(net, _GRID_CFG, [route for route, _ in batch]))
+    _, grads = model.base_loss(net, params, values, batch)
+    written = np.zeros(grads.buffer.shape, dtype=bool)
+    grads.cols.write(written, np.ones(grads.cols.read(written).shape, dtype=bool))
+    outside = grads.buffer[~written]
+    assert outside.size and not outside.any() and not np.signbit(outside).any()
+    reused = nn.FlatStack({k: v.shape[1:] for k, v in values.items()}, len(batch) + 2)
+    reused.buffer[...] = np.nan
+    _, again = model.base_loss(net, params, values, batch, grads=reused.head(len(batch)))
+    assert np.shares_memory(again.buffer, reused.buffer)
+    assert again.buffer[written].tobytes() == grads.buffer[written].tobytes()
+    assert np.isnan(again.buffer[~written]).all() and np.isnan(reused.buffer[len(batch) :]).all()
 
 
 def _two_edge_route(world):

@@ -1,6 +1,8 @@
 """Numeric-kernel tests: layers, optimizer, gradient checking, serialization."""
 
+import hashlib
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +281,73 @@ def test_serialize_round_trip(tmp_path):
     nn.save_params(params, path)
     again = nn.load_params(path)
     assert nn.serialize_params(again) == blob
+
+
+def _copied_serialization(params):
+    """The serialized bytes built by copying every tensor, as serialize_params
+    did before it streamed them: the reference for digests and checkpoints."""
+    chunks = [b"FTTE", struct.pack("<I", 1), struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.asarray(params[name], dtype=np.float64)
+        raw = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(raw)), raw, struct.pack("<I", arr.ndim), struct.pack(f"<{arr.ndim}I", *arr.shape)]
+        chunks.append(arr.astype("<f8").tobytes())
+    return b"".join(chunks)
+
+
+def test_digest_and_checkpoint_stream_the_serialized_bytes(tmp_path):
+    # params_digest and save_params feed the serialized pieces one at a time;
+    # the bytes must be serialize_params's, and those the copying reference's
+    wide = np.arange(24.0).reshape(4, 6)
+    params = {
+        "zero_d": np.array(-0.0),
+        "empty": np.zeros((0, 4)),
+        "strided": wide[:, ::2],  # not C-contiguous
+        "transposed": wide.T,
+        "single": np.linspace(0, 1, 5, dtype=np.float32).reshape(5, 1),
+        "big_endian": np.arange(3.0).astype(">f8"),
+        "plain": wide,
+        "ünï": np.array([np.nan, np.inf, -0.0]),
+    }
+    before = {k: (v.copy(), v.dtype, v.strides) for k, v in params.items()}
+    blob = nn.serialize_params(params)
+    assert blob == _copied_serialization(params)
+    assert nn.params_digest(params) == hashlib.sha256(blob).hexdigest()[:16]
+    nn.save_params(params, tmp_path / "p.bin")
+    assert (tmp_path / "p.bin").read_bytes() == blob
+    assert nn.params_digest({}) == hashlib.sha256(nn.serialize_params({})).hexdigest()[:16]
+    # the inputs are left as they were
+    for name, (copy, dtype, strides) in before.items():
+        assert params[name].dtype == dtype and params[name].strides == strides and params[name].tobytes() == copy.tobytes()
+
+
+def test_columns_read_and_write_the_selected_coordinates():
+    a = np.arange(12.0).reshape(3, 4)
+    cols = nn.Columns(np.array([[0, 2], [3, 3], [1, 0]]), 4)
+    x = cols.read(a)
+    assert x.tolist() == [[0.0, 2.0], [7.0, 7.0], [9.0, 8.0]]
+    cols.write(a, -x)
+    assert a.tolist() == [[-0.0, 1.0, -2.0, 3.0], [4.0, 5.0, 6.0, -7.0], [-8.0, -9.0, 10.0, 11.0]]
+    assert nn.ALL_COLUMNS.read(a) is a
+    with pytest.raises(ValueError):
+        cols.read(np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        cols.write(np.zeros((3, 8))[:, ::2], x)  # a write into a copy would be lost
+
+
+def test_flat_stack_head_views_the_first_clients():
+    shapes = {"b": (2,), "a": (3, 2)}
+    stack = nn.FlatStack(shapes, 4)
+    stack.buffer[...] = np.arange(32.0).reshape(4, 8)
+    head = stack.head(2)
+    assert head.start == {"a": 0, "b": 6} and head.buffer.shape == (2, 8)
+    for name in shapes:
+        assert head[name].shape == (2, *shapes[name]) and np.shares_memory(head[name], stack.buffer)
+        assert head[name].tobytes() == stack[name][:2].tobytes()
+    # a given buffer keeps its contents; the layout is computed once per shape set
+    kept = nn.FlatStack(shapes, 4, stack.buffer)
+    assert kept["b"].tolist() == stack["b"].tolist()
+    assert nn._layout(tuple(sorted(shapes.items()))) is nn._layout(tuple(sorted({"a": (3, 2), "b": (2,)}.items())))
 
 
 def test_deserialize_rejects_every_truncation(tiny_world, tiny_cfg):

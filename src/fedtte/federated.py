@@ -338,6 +338,13 @@ def select_clients(pool, m: int, rng: np.random.Generator) -> list[str]:
 _MAX_STEP = 1.0
 
 
+# Gradients of up to this many coordinates (128 KB) are read through an |g|
+# copy: one reduction over it is faster than a max and a min over short rows,
+# such as the personal phase's, and the copy is too small to matter for
+# memory.
+_SMALL_READ = 16_384
+
+
 def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float, cols: nn.Columns = nn.ALL_COLUMNS) -> np.ndarray:
     """Per client, whether its step is finite and moves no coordinate further
     than _MAX_STEP, for (C,) losses and gradients stacked on a leading client
@@ -347,10 +354,18 @@ def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float, cols: nn.Columns
     ok = np.isfinite(losses)
     for g in grads.values():
         if g.size:
-            # max |g| without an |g| copy of the tensor, which on a large graph
-            # would raise the run's peak memory; NaN propagates
-            rows = cols.read(g).reshape(len(ok), -1)
-            ok &= lr * np.maximum(rows.max(axis=1), -rows.min(axis=1)) <= _MAX_STEP
+            read = cols.read(g)
+            rows = read.reshape(len(ok), -1)
+            if read is not g:
+                # a copy of the columns already: |g| in place, one reduction
+                biggest = np.abs(rows, out=rows).max(axis=1)
+            elif rows.size <= _SMALL_READ:
+                biggest = np.abs(rows).max(axis=1)
+            else:
+                # max |g| without an |g| copy of the tensor, which on a large
+                # graph would raise the run's peak memory; NaN propagates
+                biggest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+            ok &= lr * biggest <= _MAX_STEP
     return ok
 
 
@@ -558,10 +573,14 @@ def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedCo
     _steps_ok rejects. Step j of an epoch takes pair j of every client that
     has one, on the clients' working sets (model.PersonalWorkingSet): the
     table rows their profiles read and the dense tensors, in one (C, P)
-    buffer that is checked and updated as one tensor. The whole tables are
-    written back once, after the last epoch; no client's result depends on
-    the others. The localized global models the clients hold are read-only
-    while this runs.
+    buffer that is checked and updated as one tensor. Everything a step
+    needs is built once per call: each step's (y, y_hat) slice and
+    has-a-pair mask here, and personal_loss's index arrays and buffers in
+    the working set (PersonalWorkingSet.step), whose results are byte for
+    byte those of the per-tensor formulas. The whole tables are written back
+    once, after the last epoch; no client's result depends on the others.
+    The localized global models the clients hold are read-only while this
+    runs.
     """
     if len(pairs) != len(pool):
         raise ValueError(f"need the pairs of every client, got {len(pairs)} for {len(pool)}")
@@ -576,16 +595,16 @@ def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedCo
     batch = np.zeros((len(pool), counts.max(), 2))  # (y, y_hat) pairs, zero-padded
     for c, client_pairs in enumerate(pairs):
         batch[c, : counts[c]] = np.reshape(client_pairs, (-1, 2))
-    has_pair = np.arange(batch.shape[1]) < counts[:, None]
+    # step j's pairs (C, 1, 2) and which clients have one, each contiguous
+    steps = [(batch[:, j : j + 1].copy(), j < counts) for j in range(batch.shape[1])]
     ws = personal_working_set([c.profile for c in pool], [c.personal for c in pool])
-    values = {"ws": ws.values}
+    values, step = {"ws": ws.values}, {}
     lr = config.personal_lr
     with _read_only(pool), np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.personal_epochs):
-            for j in range(batch.shape[1]):
-                losses, grads = personal_loss(ws, batch[:, j : j + 1])
-                step = {"ws": grads}
-                nn.sgd_step(values, step, lr, has_pair[:, j] & _steps_ok(losses, step, lr))
+            for step_pairs, has_pair in steps:
+                losses, step["ws"] = personal_loss(ws, step_pairs)
+                nn.sgd_step(values, step, lr, has_pair & _steps_ok(losses, step, lr))
     # One (C, ...) block per tensor: a copy per client would be many
     # small heap allocations, with which stress peak RSS read 4 MB higher.
     tables = {k: np.stack([client.personal.values[k] for client in pool]) for k in pool[0].personal.values}

@@ -50,7 +50,8 @@ linearly transformed standardized dense features) through one linear head to
 a scalar bias in seconds; the final prediction is ``y_hat + bias``. Its loss
 is evaluated for C clients at once on their working sets: the embedding
 rows each profile reads and the dense tensors, in one flat (C, P) buffer
-(PersonalWorkingSet). Each client's row is computed exactly as it would be
+(PersonalWorkingSet), whose index arrays and buffers are built once and
+reused by every step. Each client's row is computed exactly as it would be
 alone, and exactly as on the whole tables.
 
 All backward passes are hand-written and certified by nn.check_gradients.
@@ -556,7 +557,8 @@ def base_loss(
     edge- and node-indexed gradients outside its field are +0.0.
     field_cache, when given, is a dict a caller stepping the same routes on
     the same network and model again keeps between calls: a batch's fields
-    are built on the first call and read from it after.
+    and the gradient columns they write are built on the first call and
+    read from it after.
 
     The gradients' cols name the columns this call writes: every tensor
     whole, except embed_*.identity and head_*.b at the client's field rows
@@ -571,15 +573,16 @@ def base_loss(
     scale = cfg.output_scale
     n_clients = len(batch)
     clients = np.arange(n_clients)
-    cache, routes = {} if field_cache is None else field_cache, tuple(route for route, _ in batch)
-    if routes not in cache:
-        cache[routes] = _receptive_field(network, cfg, list(routes))
-    fields = field_e, field_v = cache[routes]
-    fw = _heads_forward(network, params, values, fields)
-    ue, uv = fw["ue"], fw["uv"]
     reused = grads is not None
     grads = grads if reused else nn.zeros_stack(values)
-    grads.cols = _written_columns(fields, grads)
+    cache, routes = {} if field_cache is None else field_cache, tuple(route for route, _ in batch)
+    if routes not in cache:
+        fields = _receptive_field(network, cfg, list(routes))
+        cache[routes] = fields, _written_columns(fields, grads)
+    fields, grads.cols = cache[routes]
+    field_e, field_v = fields
+    fw = _heads_forward(network, params, values, fields)
+    ue, uv = fw["ue"], fw["uv"]
     if reused:
         written = grads.cols.read(grads.buffer)
         written[...] = 0.0
@@ -746,6 +749,41 @@ _PERSONAL_TABLES = (("p.region", "top_regions"), ("p.edge", "top_edges"))
 
 
 @dataclass(frozen=True)
+class _PersonalStep:
+    """A working set's prebuilt personal step (PersonalWorkingSet.step), for
+    C clients whose head input x_u = [embedding rows | hidden] has k columns.
+
+    inputs holds each client's row [p.head.w | x_u]: take holds the flat
+    positions in values that fill its first part (taken), and the hidden
+    part (hidden_in) is written from the matmul output hidden. The weights
+    (flat_weights, C rows) are [d_bias * inputs (scaled) | d_bias |
+    x_dense (x) d_hidden (outer)], and scatter holds the flat position in
+    values of each weight, in that order. The other fields are views of
+    these, so a step slices nothing."""
+
+    take: np.ndarray
+    taken: np.ndarray
+    inputs: np.ndarray
+    hidden_in: np.ndarray
+    x_u: np.ndarray
+    x_dense: np.ndarray
+    x_dense_col: np.ndarray
+    head_b: np.ndarray
+    hidden: np.ndarray
+    hidden_rows: np.ndarray
+    head_out: np.ndarray
+    head_dot: np.ndarray
+    bias: np.ndarray
+    scaled: np.ndarray
+    d_bias: np.ndarray
+    d_bias_col: np.ndarray
+    d_hidden: np.ndarray
+    outer: np.ndarray
+    flat_weights: np.ndarray
+    scatter: np.ndarray
+
+
+@dataclass(frozen=True)
 class PersonalWorkingSet:
     """C clients' personal-model working state in one flat (C, P) buffer.
 
@@ -758,7 +796,9 @@ class PersonalWorkingSet:
     embedding part (the profile's region rows, then its edge rows). x_dense
     is each profile's dense features standardized by its client's model. A
     padding slot is never read, its gradient is +0.0, and it is never
-    written back.
+    written back. step holds personal_loss's index arrays and buffers
+    (_PersonalStep), built on the first call and reused by every later one;
+    each working set has its own, so two never share a buffer.
     """
 
     values: np.ndarray
@@ -769,16 +809,46 @@ class PersonalWorkingSet:
     x_dense: np.ndarray
 
     @cached_property
-    def scatter(self) -> np.ndarray:
-        """The flat position in values that each weight of personal_loss's
-        gradient adds into: the head input's embedding part, then p.head.w,
-        p.head.b, p.dense.w and p.dense.b whole, client by client."""
+    def step(self) -> "_PersonalStep":
+        """personal_loss's index arrays and buffers, built on first use."""
         n, width = self.values.shape
-        dense = []
-        for name in ("p.head.w", "p.head.b", "p.dense.w", "p.dense.b"):
+        n_dense, dd = self.views["p.dense.w"].shape[1:]
+        block = self.gather.shape[1]
+        k = block + dd  # the head input's width
+
+        def positions(name):
             start, shape = self.layout[name]
-            dense.append(start + np.arange(math.prod(shape)))
-        return np.concatenate([self.gather, np.concatenate(dense) + width * np.arange(n)[:, None]], axis=1).ravel()
+            return start + np.arange(math.prod(shape)) + width * np.arange(n)[:, None]
+
+        inputs, hidden, head_out = np.empty((n, k + k)), np.empty((n, 1, dd)), np.empty((n, 1, 1))
+        weights = np.empty((n, 2 * k + 1 + n_dense * dd))
+        # the flat position in values of each weight, in the weights' order;
+        # d_xu's hidden part is p.dense.b's gradient
+        scatter = np.concatenate(
+            [self.gather, positions("p.dense.b"), positions("p.head.w"), positions("p.head.b"), positions("p.dense.w")], axis=1
+        )
+        return _PersonalStep(
+            take=np.concatenate([positions("p.head.w"), self.gather], axis=1),
+            taken=inputs[:, : k + block],
+            inputs=inputs,
+            hidden_in=inputs[:, k + block :],
+            x_u=inputs[:, k:][:, None, :],
+            x_dense=self.x_dense[:, None, :],
+            x_dense_col=self.x_dense[:, :, None],
+            head_b=self.views["p.head.b"][:, 0],
+            hidden=hidden,
+            hidden_rows=hidden[:, 0],
+            head_out=head_out,
+            head_dot=head_out[:, 0, 0],
+            bias=np.empty(n),
+            scaled=weights[:, : 2 * k],
+            d_bias=weights[:, 2 * k],
+            d_bias_col=weights[:, 2 * k : 2 * k + 1],
+            d_hidden=weights[:, block:k][:, None, :],
+            outer=weights[:, 2 * k + 1 :].reshape(n, n_dense, dd),
+            flat_weights=weights.reshape(-1),
+            scatter=scatter.ravel(),
+        )
 
     def unpack(self, buffer: np.ndarray, c: int, out: nn.ParamSet) -> nn.ParamSet:
         """Write client c's coordinates of a (C, P) buffer laid out as values
@@ -838,21 +908,25 @@ def personal_working_set(profiles: list[DriverProfile], params: list[PersonalMod
     return PersonalWorkingSet(values, views, layout, rows, gather, x_dense)
 
 
-def _personal_forward(ws: PersonalWorkingSet) -> tuple[np.ndarray, np.ndarray]:
-    """Per-client biases (C,) and head inputs x_u (C, x_dim) of a working set."""
+def _personal_forward(ws: PersonalWorkingSet) -> np.ndarray:
+    """Per-client biases (C,) of a working set, into the step's bias buffer;
+    the head inputs x_u are left in step.inputs."""
+    st = ws.step
     # np.matmul on (C, 1, k) @ (C, k, m) runs one BLAS call per client, the same
     # call as a single client's (k,) @ (k, m); einsum would sum in another order.
     # The call depends on the strides within a client's tensor, which the
-    # views into values share with a tensor of its own.
-    hidden = np.matmul(ws.x_dense[:, None, :], ws.views["p.dense.w"])[:, 0] + ws.views["p.dense.b"]
-    x_u = np.concatenate([ws.values.take(ws.gather), hidden], axis=1)
-    bias = np.matmul(x_u[:, None, :], ws.views["p.head.w"])[:, 0, 0] + ws.views["p.head.b"][:, 0]
-    return bias, x_u
+    # views into values and into step.inputs share with a tensor of its own,
+    # and the outputs are whole buffers, as a new result would be.
+    ws.values.take(st.take, out=st.taken)
+    np.matmul(st.x_dense, ws.views["p.dense.w"], out=st.hidden)
+    np.add(st.hidden_rows, ws.views["p.dense.b"], out=st.hidden_in)
+    np.matmul(st.x_u, ws.views["p.head.w"], out=st.head_out)
+    return np.add(st.head_dot, st.head_b, out=st.bias)
 
 
 def personal_bias(profile: DriverProfile, params: PersonalModelParams) -> float:
     """Scalar travel-time bias in seconds for this driver."""
-    return float(_personal_forward(personal_working_set([profile], [params]))[0][0])
+    return float(_personal_forward(personal_working_set([profile], [params]))[0])
 
 
 def predict_final(y_hat: float, bias: float) -> float:
@@ -868,33 +942,39 @@ def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray
     gradients touch only its own row, and y_hat values are frozen inputs.
     ws.unpack writes a row of the gradients into whole-table gradients. A
     single client is the case C = 1.
+
+    The step runs on ws.step, built once per working set: one take fills
+    each client's input row [p.head.w | x_u], and the weights
+    [d_bias * (p.head.w | x_u) | d_bias | x_dense (x) d_hidden] are d_bias
+    copied into its column and two in-place multiplies; one np.bincount adds
+    them at their positions in values. What the buffers held before a call
+    is never read. The bytes are those of the per-tensor formulas:
+    - the embedding weights keep their relative order, so a repeated
+      profile id sums its terms in the same order;
+    - every other position gets exactly one weight, and bincount's 0.0 + w
+      is what the dense gradients' 0.0 + products were;
+    - the first pair's r * r starts the loss instead of 0.0 + r * r, equal
+      since a square is never -0.0; the first -2.0 * r starts d_bias, so a
+      zero d_bias may carry either sign, but every weight it makes is a
+      signed zero or a NaN then, and bincount's +0.0 start washes out the
+      sign.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1] == 0:
         raise ValueError("empty batch")
-    bias, x_u = _personal_forward(ws)
-    n = len(bias)
-    loss = np.zeros(n)
-    d_bias = np.zeros(n)
-    for j in range(batch.shape[1]):
+    st = ws.step
+    bias = _personal_forward(ws)
+    r = np.subtract(batch[:, 0, 0], batch[:, 0, 1])
+    loss = np.multiply(np.subtract(r, bias, out=r), r)
+    # The sums run on contiguous arrays, as they did before: where both terms
+    # are NaN, NumPy's contiguous and strided loops may keep different NaNs.
+    d_bias = -2.0 * r
+    for j in range(1, batch.shape[1]):
         r = batch[:, j, 0] - batch[:, j, 1] - bias
         loss += r * r
         d_bias += -2.0 * r
-    d_xu = d_bias[:, None] * ws.views["p.head.w"][:, :, 0]
-    block = ws.gather.shape[1]
-    d_hidden = d_xu[:, block:]
-    weights = np.concatenate(
-        [
-            d_xu[:, :block],
-            d_bias[:, None] * x_u,
-            d_bias[:, None],
-            (ws.x_dense[:, :, None] * d_hidden[:, None, :]).reshape(n, -1),
-            d_hidden,
-        ],
-        axis=1,
-    )
-    # Every coordinate starts at +0.0, so a zero gradient is +0.0 and
-    # p - lr * g leaves a -0.0 parameter at -0.0 (p - lr * -0.0 would turn
-    # it into +0.0).
-    grads = np.bincount(ws.scatter, weights=weights.ravel(), minlength=ws.values.size)
+    st.d_bias[...] = d_bias
+    np.multiply(st.d_bias_col, st.inputs, out=st.scaled)
+    np.multiply(st.x_dense_col, st.d_hidden, out=st.outer)
+    grads = np.bincount(st.scatter, weights=st.flat_weights, minlength=ws.values.size)
     return loss, grads.reshape(ws.values.shape)

@@ -338,10 +338,13 @@ def select_clients(pool, m: int, rng: np.random.Generator) -> list[str]:
 _MAX_STEP = 1.0
 
 
-# Gradients of up to this many coordinates (128 KB) are read through an |g|
-# copy: one reduction over it is faster than a max and a min over short rows,
-# such as the personal phase's, and the copy is too small to matter for
-# memory.
+# Up to this many coordinates (128 KB), max |g| is read from an |g| copy; a
+# max and a min over the rows cost more there (timeit, one core of a 2-vCPU
+# Xeon: 4.1 against 7.1 us on the personal phase's (10, 105), 4.9 against
+# 7.2 us on a (1, 3180) step). Above it the copy costs as much or more (26.5
+# against 21.7 us on a (10, 4846) field read; the two cross between 16,000
+# and 25,000 coordinates of 3,180-long rows), and it would raise the peak
+# memory of a large graph's whole-buffer steps.
 _SMALL_READ = 16_384
 
 
@@ -354,16 +357,11 @@ def _steps_ok(losses: np.ndarray, grads: nn.GradSet, lr: float, cols: nn.Columns
     ok = np.isfinite(losses)
     for g in grads.values():
         if g.size:
-            read = cols.read(g)
-            rows = read.reshape(len(ok), -1)
-            if read is not g:
-                # a copy of the columns already: |g| in place, one reduction
-                biggest = np.abs(rows, out=rows).max(axis=1)
-            elif rows.size <= _SMALL_READ:
+            rows = cols.read(g).reshape(len(ok), -1)
+            # NaN propagates through either
+            if rows.size <= _SMALL_READ:
                 biggest = np.abs(rows).max(axis=1)
             else:
-                # max |g| without an |g| copy of the tensor, which on a large
-                # graph would raise the run's peak memory; NaN propagates
                 biggest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
             ok &= lr * biggest <= _MAX_STEP
     return ok

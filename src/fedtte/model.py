@@ -557,8 +557,7 @@ def base_loss(
     edge- and node-indexed gradients outside its field are +0.0.
     field_cache, when given, is a dict a caller stepping the same routes on
     the same network and model again keeps between calls: a batch's fields
-    and the gradient columns they write are built on the first call and
-    read from it after.
+    are built on the first call and read from it after.
 
     The gradients' cols name the columns this call writes: every tensor
     whole, except embed_*.identity and head_*.b at the client's field rows
@@ -573,16 +572,15 @@ def base_loss(
     scale = cfg.output_scale
     n_clients = len(batch)
     clients = np.arange(n_clients)
-    reused = grads is not None
-    grads = grads if reused else nn.zeros_stack(values)
     cache, routes = {} if field_cache is None else field_cache, tuple(route for route, _ in batch)
     if routes not in cache:
-        fields = _receptive_field(network, cfg, list(routes))
-        cache[routes] = fields, _written_columns(fields, grads)
-    fields, grads.cols = cache[routes]
-    field_e, field_v = fields
+        cache[routes] = _receptive_field(network, cfg, list(routes))
+    fields = field_e, field_v = cache[routes]
     fw = _heads_forward(network, params, values, fields)
     ue, uv = fw["ue"], fw["uv"]
+    reused = grads is not None
+    grads = grads if reused else nn.zeros_stack(values)
+    grads.cols = _written_columns(fields, grads)
     if reused:
         written = grads.cols.read(grads.buffer)
         written[...] = 0.0
@@ -759,7 +757,8 @@ class _PersonalStep:
     (flat_weights, C rows) are [d_bias * inputs (scaled) | d_bias |
     x_dense (x) d_hidden (outer)], and scatter holds the flat position in
     values of each weight, in that order. The other fields are views of
-    these, so a step slices nothing."""
+    these, so a step slices nothing: slicing them in each call made the c04
+    personal phase about 18% slower."""
 
     take: np.ndarray
     taken: np.ndarray

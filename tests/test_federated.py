@@ -833,21 +833,15 @@ def test_steps_on_the_written_columns_equal_steps_on_the_whole_buffer(seed):
 
 def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatch):
     # step j takes the same routes in every epoch, so local training builds
-    # its fields and their written columns once, in base_loss's field cache;
-    # each must equal a build for its routes, and the result must equal steps
-    # that each build their own
+    # its fields once, in base_loss's field cache; each must equal a build
+    # for its routes, and the result must equal steps that each build their own
     global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, True, 0)
     cfg = FederatedConfig(local_epochs=3, base_lr=1e-6, dp_epsilon=10.0, seed=3)
     build, builds, caches = model._receptive_field, [], []
-    columns, column_builds = model._written_columns, []
 
     def counting_build(network, model_cfg, routes):
         builds.append(len(routes))
         return build(network, model_cfg, routes)
-
-    def counting_columns(fields, grads):
-        column_builds.append(len(grads.buffer))
-        return columns(fields, grads)
 
     def recording_loss(network, params, values, batch, holidays, grads, field_cache):
         caches.append(field_cache)
@@ -855,18 +849,12 @@ def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatc
 
     with monkeypatch.context() as m:
         m.setattr(model, "_receptive_field", counting_build)
-        m.setattr(model, "_written_columns", counting_columns)
         m.setattr(federated, "base_loss", recording_loss)
         reused = client_update(clients, global_params, cfg, _DAY0, 2)
-    assert builds == [3, 3, 2, 1] and column_builds == builds and len(caches) == len(builds) * cfg.local_epochs
+    assert builds == [3, 3, 2, 1] and len(caches) == len(builds) * cfg.local_epochs
     assert all(cache is caches[0] for cache in caches) and len(caches[0]) == len(builds)
-    shapes = {k: v.shape for k, v in global_params.values.items()}
     strict = 0
-    for routes, (fields, cols) in caches[0].items():
-        want_cols = columns(fields, nn.FlatStack(shapes, len(routes)))
-        assert (cols.positions is None) == (want_cols.positions is None)
-        if cols.positions is not None:
-            assert cols.shape == want_cols.shape and cols.positions.tobytes() == want_cols.positions.tobytes()
+    for routes, fields in caches[0].items():
         for got, want in zip(fields, build(clients[0].network, global_params.cfg, list(routes))):
             assert got.whole == want.whole
             if got.whole:

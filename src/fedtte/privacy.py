@@ -10,6 +10,13 @@ client's uploads add up the same way (Dwork & Roth 2014, section 3.5). P is
 3,180 on the 3x4 default world and 76,858 on a 30x30 grid, so epsilon = 10
 means about 31,800 per upload on the default world.
 
+The noise is Generator.laplace's inverse CDF, one uniform U per coordinate
+and 0.0 - b*log(2 - U - U) if U >= 0.5 else 0.0 + b*log(U + U), with one
+vectorized log; U == 0 is redrawn as NumPy does. Signs and generator advance
+match Generator.laplace and values lie within 2 ulp of it, their low bits set
+by the NumPy build's SIMD log. Textbook floating-point Laplace noise leaks
+through its low-order bits (Mironov, CCS 2012); this is stated, not fixed.
+
 The attack compares the parameters a client uploads at round t against the
 global model the server delivered at round t-1: every edge gets a change
 score (L2 norm of its row difference across the edge-indexed tables) and the
@@ -98,18 +105,17 @@ class AttackReport:
 
 
 def noise_params(params: nn.ParamSet, cfg: DpConfig, rng: np.random.Generator | None = None) -> nn.ParamSet:
-    """Clamp-then-noise every coordinate; epsilon = inf returns the input
-    values unchanged (bit-exact copies)."""
+    """Clamp, then add Laplace noise drawn at once over all coordinates in
+    sorted-name order: one uniform each, the inverse CDF by one vectorized log,
+    U == 0 redrawn as NumPy does (_laplace); epsilon = inf returns bit-exact copies."""
     if math.isinf(cfg.epsilon):
         return nn.clone_params(params)
     if rng is None:
         rng = nn.spawn_rng(cfg.seed, "dp")
-    # One clamp and one draw over every coordinate in sorted-name order, split
-    # back into tensors: the generator yields the same variates as one draw
-    # per tensor in that order.
     names = sorted(params)
     flat = np.concatenate([np.ravel(params[name]) for name in names])
-    noisy = np.clip(flat, -cfg.clip_bound, cfg.clip_bound) + rng.laplace(0.0, cfg.scale, size=flat.size)
+    noisy = _laplace(rng, cfg.scale, flat.size)
+    noisy += np.clip(flat, -cfg.clip_bound, cfg.clip_bound, out=flat)  # IEEE + commutes: clamp + noise
     out: nn.ParamSet = {}
     offset = 0
     for name in names:
@@ -117,6 +123,25 @@ def noise_params(params: nn.ParamSet, cfg: DpConfig, rng: np.random.Generator | 
         out[name] = noisy[offset : offset + size].reshape(params[name].shape)
         offset += size
     return out
+
+
+def _laplace(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """rng.laplace(0.0, scale, size) with NumPy's SIMD log (module docstring)."""
+    state = rng.bit_generator.state
+    u = rng.random(size)
+    if not u.all():  # NumPy redraws U == 0; replay the draw through it
+        rng.bit_generator.state = state
+        return rng.laplace(0.0, scale, size)
+    x = 2.0 - u  # log's argument: the smaller of 2.0 - U - U and U + U
+    x -= u
+    u += u
+    np.minimum(x, u, out=x)
+    np.log(x, out=x)
+    x *= scale
+    u -= 1.0  # 2U - 1 carries the branch's sign
+    np.copysign(x, u, out=x)
+    x += 0.0  # 0.0 +- a product that underflowed to zero is +0.0
+    return x
 
 
 def difference_attack(

@@ -54,6 +54,71 @@ def test_clamp_applied_before_noising():
     assert np.array_equal(out_hi["x"], out_unit["x"])
 
 
+def test_clamp_of_non_finite_and_signed_zero_coordinates():
+    # infinities clamp to the bounds before noising, NaN stays NaN, and -0.0
+    # is clamped to itself; the result is clamp + the sampler's noise
+    cfg = DpConfig(epsilon=1.0, clip_bound=1.0)
+    values = np.array([np.inf, -np.inf, np.nan, -0.0, 5.0])
+    out = privacy.noise_params({"x": values}, cfg, rng=nn.spawn_rng(3, "clamp"))["x"]
+    noise = privacy._laplace(nn.spawn_rng(3, "clamp"), cfg.scale, values.size)
+    clamped = np.array([1.0, -1.0, np.nan, -0.0, 1.0])
+    assert out.tobytes() == (clamped + noise).tobytes()
+    assert out[0] == 1.0 + noise[0] and out[1] == -1.0 + noise[1]
+    assert np.isnan(out[2]) and np.isfinite(np.delete(out, 2)).all()
+
+
+def _laplace_reference(u: float, scale: float) -> float:
+    """NumPy's random_laplace(0.0, scale) for a nonzero uniform u, in Python
+    floats through libm's log."""
+    if u >= 0.5:
+        return 0.0 - scale * math.log(2.0 - u - u)
+    return 0.0 + scale * math.log(u + u)
+
+
+@pytest.mark.parametrize("scale", [2e-3, 0.2, 20.0, 5e-324])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 3_180, 76_858])
+def test_laplace_sampler_matches_the_scalar_reference(n, scale):
+    # the vectorized inverse CDF differs from NumPy's per-variate draw only in
+    # its log: same sign bits, within 2 ulp, same generator advance; at the
+    # smallest scale most products underflow to zeros, whose sign is +
+    seed = 1_000 * n + int(scale * 1_000)
+    uniforms = np.random.default_rng(seed).random(n)
+    reference = np.array([_laplace_reference(u, scale) for u in uniforms.tolist()])
+    numpy_rng = np.random.default_rng(seed)
+    assert reference.tobytes() == numpy_rng.laplace(0.0, scale, size=n).tobytes()
+    rng = np.random.default_rng(seed)
+    drawn = privacy._laplace(rng, scale, n)
+    assert drawn.shape == (n,)
+    assert np.array_equal(np.signbit(drawn), np.signbit(reference))
+    assert np.abs(drawn.view(np.int64) - reference.view(np.int64)).max(initial=0) <= 2
+    assert rng.bit_generator.state == numpy_rng.bit_generator.state
+
+
+def test_zero_uniform_falls_back_to_numpys_redraw():
+    # PCG64 steps its 128-bit LCG state and then outputs from the new state,
+    # so a state whose successor is 0 makes the next uniform exactly 0.0
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = 0x5851F42D4C957F2D  # any odd increment
+    state = (-inc) * pow(multiplier, -1, 2**128) % 2**128
+
+    def rng():
+        generator = np.random.Generator(np.random.PCG64())
+        generator.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        return generator
+
+    assert rng().random() == 0.0
+    cfg = DpConfig(epsilon=2.0, clip_bound=1.0)
+    params = _params_of(a=np.linspace(-3.0, 3.0, 12).reshape(3, 4), b=[0.5])
+    drawn = rng()
+    out = privacy.noise_params(params, cfg, rng=drawn)
+    reference = rng()
+    noise = reference.laplace(0.0, cfg.scale, size=13)
+    assert np.isfinite(noise).all()
+    assert out["a"].tobytes() == (np.clip(params["a"].ravel(), -1.0, 1.0) + noise[:12]).tobytes()
+    assert out["b"].tobytes() == (np.clip(params["b"], -1.0, 1.0) + noise[12:]).tobytes()
+    assert drawn.bit_generator.state == reference.bit_generator.state
+
+
 def test_noise_insensitive_to_dict_insertion_order():
     cfg = DpConfig(epsilon=2.0, clip_bound=1.0)
     fwd = {"a": np.zeros(3), "b": np.ones(2)}

@@ -265,15 +265,17 @@ def sample_trajectories(world: World, day: int) -> list[TrajectoryRecord]:
 # trajectory CSV round-trip
 
 
+def route_tokens(route: Route, network: RoadNetwork) -> str:
+    """The route's path spelling, ``e<id>|v<id>|e<id>``: the records' ids at
+    its positions."""
+    return "|".join(f"{kind}{(network.edges if kind == 'e' else network.nodes)[pos].id}" for kind, pos in route.steps)
+
+
 def save_trajectories(records: list[TrajectoryRecord], network: RoadNetwork, dest) -> None:
     with open(dest, "w", encoding="utf-8", newline="") as fh:
         fh.write("driver_id,departure_iso8601,travel_time_s,path\n")
         for rec in records:
-            tokens = []
-            for kind, pos in rec.route.steps:
-                ident = network.edges[pos].id if kind == "e" else network.nodes[pos].id
-                tokens.append(f"{kind}{ident}")
-            fh.write(f"{rec.driver_id},{rec.departure.isoformat()},{rec.y!r},{'|'.join(tokens)}\n")
+            fh.write(f"{rec.driver_id},{rec.departure.isoformat()},{rec.y!r},{route_tokens(rec.route, network)}\n")
 
 
 def load_trajectories(source, network: RoadNetwork) -> list[TrajectoryRecord]:

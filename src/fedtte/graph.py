@@ -7,11 +7,13 @@ edge-wise (the line graph: segments adjacent iff they share an endpoint).
 Both are symmetrized with zero diagonal for spectral use; edge direction is
 retained on the records and used only for route validation.
 
-CSV schemas (UTF-8, header required):
+CSV schemas (UTF-8, header required), read and written from the column
+constants below:
 
-- nodes.csv: ``node_id,lat,lon,junction_type,has_signal,has_crossing``
-- edges.csv: ``edge_id,from_node,to_node,road_type,length_m,speed_limit_kph,
-  lanes,width_m,is_bridge,is_tunnel``
+- nodes.csv: ``node_id``, NODE_NUMERIC_COLUMNS, NODE_CATEGORICAL_SLOTS
+  (``node_id,lat,lon,junction_type,has_signal,has_crossing``)
+- edges.csv: ``edge_id,from_node,to_node,road_type``, EDGE_NUMERIC_COLUMNS,
+  ``is_bridge,is_tunnel`` (_EDGE_INT_COLUMNS holds the integer ones)
 - schema sidecar: plain-text ``name=cardinality`` lines declaring categorical
   vocabulary sizes (inferred as max+1 when absent).
 
@@ -34,6 +36,8 @@ NODE_CATEGORICAL_SLOTS = ("junction_type", "has_signal", "has_crossing")
 EDGE_CATEGORICAL_SLOTS = ("road_type", "special_type")
 NODE_NUMERIC_COLUMNS = ("lat", "lon")
 EDGE_NUMERIC_COLUMNS = ("length_m", "speed_limit_kph", "lanes", "width_m")
+# in parse order, so that of two malformed fields an error names is_bridge first
+_EDGE_INT_COLUMNS = ("is_bridge", "is_tunnel", "edge_id", "from_node", "to_node", "road_type")
 
 
 class NetworkError(ValueError):
@@ -230,14 +234,13 @@ def build_network(
     edge_cat = [e.categorical for e in edges]
     nv = node_vocabs or infer_vocabs(node_cat, len(NODE_CATEGORICAL_SLOTS))
     ev = edge_vocabs or infer_vocabs(edge_cat, len(EDGE_CATEGORICAL_SLOTS))
-    for pos, rec in enumerate(nodes):
-        for j, val in enumerate(rec.categorical):
-            if not 0 <= val < nv[j]:
-                raise NetworkError(f"node {rec.id}: categorical slot {j} value {val} outside vocabulary {nv[j]}", ("nodes", pos))
-    for pos, rec in enumerate(edges):
-        for j, val in enumerate(rec.categorical):
-            if not 0 <= val < ev[j]:
-                raise NetworkError(f"edge {rec.id}: categorical slot {j} value {val} outside vocabulary {ev[j]}", ("edges", pos))
+    for kind, records, vocabs in (("node", nodes, nv), ("edge", edges, ev)):
+        for pos, rec in enumerate(records):
+            for j, val in enumerate(rec.categorical):
+                if not 0 <= val < vocabs[j]:
+                    raise NetworkError(
+                        f"{kind} {rec.id}: categorical slot {j} value {val} outside vocabulary {vocabs[j]}", (f"{kind}s", pos)
+                    )
 
     node_adj, edge_adj = _build_adjacency(edges, node_index, len(nodes))
     return RoadNetwork(
@@ -276,18 +279,16 @@ def load_schema(source) -> dict[str, int]:
     return out
 
 
-def _parse_int(row: dict, key: str, where: str) -> int:
-    try:
-        return int(row[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"{where}: malformed integer field {key!r}") from exc
-
-
-def _parse_float(row: dict, key: str, where: str) -> float:
-    try:
-        return float(row[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkError(f"{where}: malformed numeric field {key!r}") from exc
+def _parse(row: dict, keys: tuple[str, ...], where: str, typ: type) -> tuple:
+    """typ (int or float) of each of the row's keys, in order; the first
+    missing or malformed field is named."""
+    out = []
+    for key in keys:
+        try:
+            out.append(typ(row[key]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise NetworkError(f"{where}: malformed {'integer' if typ is int else 'numeric'} field {key!r}") from exc
+    return tuple(out)
 
 
 def load_network(nodes_source, edges_source, schema_source=None) -> RoadNetwork:
@@ -299,36 +300,15 @@ def load_network(nodes_source, edges_source, schema_source=None) -> RoadNetwork:
     with open(nodes_source, "r", encoding="utf-8", newline="") as fh:
         for rownum, row in enumerate(csv.DictReader(fh), start=2):
             where = f"nodes row {rownum}"
-            nodes.append(
-                NodeRecord(
-                    id=_parse_int(row, "node_id", where),
-                    categorical=(
-                        _parse_int(row, "junction_type", where),
-                        _parse_int(row, "has_signal", where),
-                        _parse_int(row, "has_crossing", where),
-                    ),
-                    numeric=(_parse_float(row, "lat", where), _parse_float(row, "lon", where)),
-                )
-            )
+            node_id, *categorical = _parse(row, ("node_id", *NODE_CATEGORICAL_SLOTS), where, int)
+            nodes.append(NodeRecord(node_id, tuple(categorical), _parse(row, NODE_NUMERIC_COLUMNS, where, float)))
     edges: list[EdgeRecord] = []
     with open(edges_source, "r", encoding="utf-8", newline="") as fh:
         for rownum, row in enumerate(csv.DictReader(fh), start=2):
             where = f"edges row {rownum}"
-            special = _parse_int(row, "is_bridge", where) + 2 * _parse_int(row, "is_tunnel", where)
-            edges.append(
-                EdgeRecord(
-                    id=_parse_int(row, "edge_id", where),
-                    from_node=_parse_int(row, "from_node", where),
-                    to_node=_parse_int(row, "to_node", where),
-                    categorical=(_parse_int(row, "road_type", where), special),
-                    numeric=(
-                        _parse_float(row, "length_m", where),
-                        _parse_float(row, "speed_limit_kph", where),
-                        _parse_float(row, "lanes", where),
-                        _parse_float(row, "width_m", where),
-                    ),
-                )
-            )
+            bridge, tunnel, edge_id, from_node, to_node, road_type = _parse(row, _EDGE_INT_COLUMNS, where, int)
+            numeric = _parse(row, EDGE_NUMERIC_COLUMNS, where, float)
+            edges.append(EdgeRecord(edge_id, from_node, to_node, (road_type, bridge + 2 * tunnel), numeric))
     node_vocabs = edge_vocabs = None
     if schema_source is not None:
         schema = load_schema(schema_source)
@@ -350,29 +330,14 @@ def save_network(network: RoadNetwork, nodes_dest, edges_dest, schema_dest=None)
     """Write the CSV + schema form; load_network(save_network(x)) round-trips."""
     with open(nodes_dest, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["node_id", "lat", "lon", "junction_type", "has_signal", "has_crossing"])
+        w.writerow(["node_id", *NODE_NUMERIC_COLUMNS, *NODE_CATEGORICAL_SLOTS])
         for n in network.nodes:
-            w.writerow([n.id, repr(n.lat), repr(n.lon), *n.categorical])
+            w.writerow([n.id, *map(repr, n.numeric), *n.categorical])
     with open(edges_dest, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["edge_id", "from_node", "to_node", "road_type", "length_m", "speed_limit_kph", "lanes", "width_m", "is_bridge", "is_tunnel"]
-        )
+        w.writerow([*_EDGE_INT_COLUMNS[2:], *EDGE_NUMERIC_COLUMNS, *_EDGE_INT_COLUMNS[:2]])
         for e in network.edges:
-            w.writerow(
-                [
-                    e.id,
-                    e.from_node,
-                    e.to_node,
-                    e.categorical[0],
-                    repr(e.numeric[0]),
-                    repr(e.numeric[1]),
-                    repr(e.numeric[2]),
-                    repr(e.numeric[3]),
-                    int(e.is_bridge),
-                    int(e.is_tunnel),
-                ]
-            )
+            w.writerow([e.id, e.from_node, e.to_node, e.categorical[0], *map(repr, e.numeric), int(e.is_bridge), int(e.is_tunnel)])
     if schema_dest is not None:
         with open(schema_dest, "w", encoding="utf-8") as fh:
             for name, card in zip(NODE_CATEGORICAL_SLOTS, network.node_vocabs):

@@ -36,6 +36,7 @@ from .data import (
     WorldSpec,
     extract_profile,
     generate_world,
+    route_tokens,
     sample_trajectories,
     save_trajectories,
 )
@@ -47,7 +48,7 @@ from .federated import (
     ServerState,
     default_schedule,
 )
-from .graph import RoadNetwork, Route, save_network
+from .graph import RoadNetwork, save_network
 from .model import (
     ModelConfig,
     TimeContext,
@@ -283,14 +284,6 @@ class ExperimentResult:
     out_dir: Path | None
 
 
-def _route_tokens(route: Route, network: RoadNetwork) -> str:
-    tokens = []
-    for kind, pos in route.steps:
-        rec = network.edges[pos] if kind == "e" else network.nodes[pos]
-        tokens.append(f"{kind}{rec.id}")
-    return "|".join(tokens)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     world = generate_world(cfg.world)
     schedule = cfg.schedule if cfg.schedule is not None else default_schedule()
@@ -304,22 +297,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     records: list[RoundRecord] = []
     log_lines: list[str] = []
-    prev_end = None
-    done = False
+    instants: list[fed.Instant] = []  # every day's, each window chained from the one before
     for day in range(cfg.days):
-        for instant in fed.day_instants(schedule, day, prev_end):
-            prev_end = instant.end
-            if cfg.max_rounds is not None and len(records) >= cfg.max_rounds:
-                done = True
-                break
-            record, params, _ = fed.run_round(server, pool, instant, cfg.federated, cfg.holidays)
-            records.append(record)
-            log_lines.append(json.dumps(record.as_dict(), sort_keys=True))
-            if out is not None and not record.skipped:
-                name = f"global_d{instant.day:02d}_{instant.label.replace(':', '')}.bin"
-                nn.save_params(params.values, out / "checkpoints" / name)
-        if done:
-            break
+        instants += fed.day_instants(schedule, day, instants[-1].end if instants else None)
+    for instant in instants[: cfg.max_rounds]:
+        record, params, _ = fed.run_round(server, pool, instant, cfg.federated, cfg.holidays)
+        records.append(record)
+        log_lines.append(json.dumps(record.as_dict(), sort_keys=True))
+        if out is not None and not record.skipped:
+            name = f"global_d{instant.day:02d}_{instant.label.replace(':', '')}.bin"
+            nn.save_params(params.values, out / "checkpoints" / name)
 
     # Every client ends the run with a localized global model: participants
     # keep their last locally trained copy, the rest download the final global.
@@ -379,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             pred_rows.append(
                 {
                     "client_id": traj.driver_id,
-                    "route_seq": _route_tokens(traj.route, world.network),
+                    "route_seq": route_tokens(traj.route, world.network),
                     "y_true_s": repr(traj.y),
                     "y_hat_s": repr(y_hat),
                     "y_final_s": repr(y_final),
@@ -450,29 +437,17 @@ def export_state(state: TrafficState, network: RoadNetwork, dest=None) -> list[d
     if len(state.y_edges) != network.n_edges or len(state.y_nodes) != network.n_nodes:
         raise ValueError("traffic state does not match the network shape")
     rows: list[dict] = []
-    for pos, edge in enumerate(network.edges):
-        y = float(state.y_edges[pos])
-        speed = implied_speed_kph(edge.length_m, y)
-        rows.append(
-            {
-                "slot": str(state.slot),
-                "entity_kind": "edge",
-                "entity_id": str(edge.id),
-                "travel_time_s": repr(max(y, 0.0)),
-                "bucket": congestion_bucket(speed, edge.speed_limit_kph),
-            }
-        )
-    for pos, node in enumerate(network.nodes):
-        y = float(state.y_nodes[pos])
-        rows.append(
-            {
-                "slot": str(state.slot),
-                "entity_kind": "node",
-                "entity_id": str(node.id),
-                "travel_time_s": repr(max(y, 0.0)),
-                "bucket": "",
-            }
-        )
+    for kind, records, ys in (("edge", network.edges, state.y_edges), ("node", network.nodes, state.y_nodes)):
+        for rec, y in zip(records, ys.tolist()):
+            rows.append(
+                {
+                    "slot": str(state.slot),
+                    "entity_kind": kind,
+                    "entity_id": str(rec.id),
+                    "travel_time_s": repr(max(y, 0.0)),
+                    "bucket": congestion_bucket(implied_speed_kph(rec.length_m, y), rec.speed_limit_kph) if kind == "edge" else "",
+                }
+            )
     if dest is not None:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["slot", "entity_kind", "entity_id", "travel_time_s", "bucket"])

@@ -50,9 +50,9 @@ linearly transformed standardized dense features) through one linear head to
 a scalar bias in seconds; the final prediction is ``y_hat + bias``. Its loss
 is evaluated for C clients at once on their working sets: the embedding
 rows each profile reads and the dense tensors, in one flat (C, P) buffer
-(PersonalWorkingSet), whose index arrays and buffers are built once and
-reused by every step. Each client's row is computed exactly as it would be
-alone, and exactly as on the whole tables.
+laid out by nn.FlatStack (PersonalWorkingSet), whose index arrays and
+buffers are built once and reused by every step. Each client's row is
+computed exactly as it would be alone, and exactly as on the whole tables.
 
 All backward passes are hand-written and certified by nn.check_gradients.
 """
@@ -125,9 +125,6 @@ class TimeContext:
     @classmethod
     def from_datetime(cls, dt: datetime, n_slots: int, holidays: frozenset = frozenset()) -> "TimeContext":
         return cls(day_of_week=dt.weekday(), slot=slot_of_time(dt, n_slots), is_holiday=dt.date() in holidays)
-
-    def sort_key(self) -> tuple[int, int, bool]:
-        return (self.day_of_week, self.slot, self.is_holiday)
 
 
 def slot_of_time(dt: datetime, n_slots: int) -> int:
@@ -578,13 +575,11 @@ def base_loss(
     fields = field_e, field_v = cache[routes]
     fw = _heads_forward(network, params, values, fields)
     ue, uv = fw["ue"], fw["uv"]
-    reused = grads is not None
-    grads = grads if reused else nn.zeros_stack(values)
+    grads = grads if grads is not None else nn.zeros_stack(values)
     grads.cols = _written_columns(fields, grads)
-    if reused:
-        written = grads.cols.read(grads.buffer)
-        written[...] = 0.0
-        grads.cols.write(grads.buffer, written)
+    written = grads.cols.read(grads.buffer)
+    written[...] = 0.0
+    grads.cols.write(grads.buffer, written)
 
     ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
     attn, probs, code = _temporal_attention(values, ctxs, cfg)
@@ -788,8 +783,9 @@ class PersonalWorkingSet:
 
     Client c's row of values holds its distinct p.region and p.edge rows
     (rows[table][c], ascending), each table padded with +0.0 slots to the
-    widest client, then its whole p.dense.* and p.head.* tensors. views
-    names the (C, ...) view of each part into values, a table's view being
+    widest client, and its whole p.dense.* and p.head.* tensors. views is
+    the nn.FlatStack that lays them out in sorted-name order, values its
+    buffer: the (C, ...) view of each part, a table's view being
     (C, width, dim); layout gives each name's (start column, per-client
     shape). gather holds the flat positions in values of the head input's
     embedding part (the profile's region rows, then its edge rows). x_dense
@@ -801,7 +797,7 @@ class PersonalWorkingSet:
     """
 
     values: np.ndarray
-    views: dict[str, np.ndarray]
+    views: nn.FlatStack
     layout: dict[str, tuple[int, tuple[int, ...]]]
     rows: dict[str, list[np.ndarray]]
     gather: np.ndarray
@@ -810,15 +806,11 @@ class PersonalWorkingSet:
     @cached_property
     def step(self) -> "_PersonalStep":
         """personal_loss's index arrays and buffers, built on first use."""
-        n, width = self.values.shape
+        n = len(self.values)
         n_dense, dd = self.views["p.dense.w"].shape[1:]
         block = self.gather.shape[1]
         k = block + dd  # the head input's width
-
-        def positions(name):
-            start, shape = self.layout[name]
-            return start + np.arange(math.prod(shape)) + width * np.arange(n)[:, None]
-
+        positions = self.views.positions
         inputs, hidden, head_out = np.empty((n, k + k)), np.empty((n, 1, dd)), np.empty((n, 1, 1))
         weights = np.empty((n, 2 * k + 1 + n_dense * dd))
         # the flat position in values of each weight, in the weights' order;
@@ -885,12 +877,7 @@ def personal_working_set(profiles: list[DriverProfile], params: list[PersonalMod
         shapes[table] = (max(map(len, distinct)), dim)
     for name in ("p.dense.w", "p.dense.b", "p.head.w", "p.head.b"):
         shapes[name] = params[0].values[name].shape
-    layout, width = {}, 0
-    for name, shape in shapes.items():
-        layout[name] = (width, shape)
-        width += math.prod(shape)
-    values = np.zeros((n, width))
-    views = {name: values[:, start : start + math.prod(shape)].reshape(n, *shape) for name, (start, shape) in layout.items()}
+    views = nn.FlatStack(shapes, n)
     for c, p in enumerate(params):
         for name, view in views.items():
             if name in rows:
@@ -899,12 +886,13 @@ def personal_working_set(profiles: list[DriverProfile], params: list[PersonalMod
                 view[c] = p.values[name]
     columns = []
     for table, _ in _PERSONAL_TABLES:
-        start, (_, dim) = layout[table]
-        columns.append((start + dim * slots[table][:, :, None] + np.arange(dim)).reshape(n, -1))
+        dim = shapes[table][1]
+        columns.append((views.start[table] + dim * slots[table][:, :, None] + np.arange(dim)).reshape(n, -1))
     # flat positions: client c's column k sits at c * width + k
-    gather = np.concatenate(columns, axis=1) + width * np.arange(n)[:, None]
+    gather = np.concatenate(columns, axis=1) + views.buffer.shape[1] * np.arange(n)[:, None]
     x_dense = np.stack([(profile.dense_features() - m.dense_mean) / m.dense_std for profile, m in zip(profiles, params)])
-    return PersonalWorkingSet(values, views, layout, rows, gather, x_dense)
+    layout = {name: (views.start[name], shape) for name, shape in shapes.items()}
+    return PersonalWorkingSet(views.buffer, views, layout, rows, gather, x_dense)
 
 
 def _personal_forward(ws: PersonalWorkingSet) -> np.ndarray:

@@ -12,7 +12,9 @@ mutate their inputs, except sgd_step, which updates the private (C, ...)
 stacks that training steps in lockstep. GradSet is the same shape of object,
 keyed and shaped congruently with the ParamSet it differentiates. A
 FlatStack is a ParamSet of C clients' (C, ...) tensors that are views into
-one (C, P) buffer, so that a step can treat them as one tensor, and Columns
+one (C, P) buffer, so that a step can treat them as one tensor; it lays out
+local training's models and gradients and the personal working set, and
+gives the flat positions of a tensor's coordinates in its buffer. Columns
 selects the coordinates of such a buffer that a step reads and writes.
 """
 
@@ -122,9 +124,12 @@ class FlatStack(dict):
     ParamSet that forward and backward passes read and write; buffer holds
     the same coordinates as one tensor, for a step that checks and updates
     them all at once. Row c of buffer is client c's coordinates; a tensor
-    starts at column start[name]. buffer, when given, is an (n, P) float64
+    starts at column start[name]; positions(name) gives its coordinates'
+    flat positions in buffer. buffer, when given, is an (n, P) float64
     array to lay the views over, its contents kept. cols names the columns
-    that hold values: all, unless a writer (model.base_loss) says fewer."""
+    that hold values: all, unless a writer (model.base_loss) says fewer.
+    Local training's models and gradients and the personal working set
+    (model.PersonalWorkingSet) are laid out by it."""
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], n: int, buffer: np.ndarray | None = None):
         super().__init__()
@@ -143,6 +148,12 @@ class FlatStack(dict):
         out.update((name, v[:n]) for name, v in self.items())
         out.buffer, out.cols, out.start = self.buffer[:n], ALL_COLUMNS, self.start
         return out
+
+    def positions(self, name: str) -> np.ndarray:
+        """The (C, size) flat positions in buffer of the named tensor's
+        coordinates: client c's k-th coordinate sits at c * P + start[name] + k."""
+        n, width = self.buffer.shape
+        return self.start[name] + np.arange(math.prod(self[name].shape[1:])) + width * np.arange(n)[:, None]
 
 
 def zeros_stack(values: ParamSet) -> FlatStack:

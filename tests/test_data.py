@@ -172,6 +172,23 @@ def test_trajectory_round_trip(tmp_path, tiny_world):
     assert back == recs
 
 
+def test_routes_are_spelled_by_record_ids_not_positions(tmp_path):
+    # the cycle 30 -> 10 -> 20 -> 30, whose ids differ from their positions
+    nodes = [make_node(30), make_node(10, lat=1.0), make_node(20, lat=2.0)]
+    net = graph.build_network(nodes, [make_edge(7, 30, 10), make_edge(5, 10, 20), make_edge(0, 20, 30)])
+    departure = datetime(2024, 1, 1, 8, 0)
+    routes = [
+        Route(steps=(("e", 0), ("v", 1), ("e", 1)), departure_time=departure, driver_id="d0"),
+        Route(steps=(("e", 2), ("v", 0), ("e", 0)), departure_time=departure, driver_id="d1"),
+    ]
+    assert [data.route_tokens(route, net) for route in routes] == ["e7|v10|e5", "e0|v30|e7"]
+    recs = [TrajectoryRecord(driver_id=route.driver_id, route=route, y=60.5) for route in routes]
+    path = tmp_path / "t.csv"
+    data.save_trajectories(recs, net, path)
+    assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == ["e7|v10|e5", "e0|v30|e7"]
+    assert data.load_trajectories(path, net) == recs
+
+
 # ---------------------------------------------------------------- grid cells
 
 def test_grid_1x1_always_cell_zero():

@@ -203,6 +203,15 @@ def test_load_names_the_offending_node_row(tmp_path):
     assert str(exc.value).startswith("nodes row 4: duplicate node id 1")
 
 
+def test_of_two_malformed_integer_fields_is_bridge_is_named_first(tmp_path):
+    # is_bridge and is_tunnel are parsed before the other integer fields
+    edge_rows = [[0, 0, 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0], ["x", 1, 2, 0, 100.0, 50.0, 1.0, 3.5, "y", 0]]
+    nodes, edges = _path_csvs(tmp_path, edge_rows=edge_rows)
+    with pytest.raises(NetworkError) as exc:
+        graph.load_network(nodes, edges)
+    assert str(exc.value) == "edges row 3: malformed integer field 'is_bridge'"
+
+
 def test_schema_missing_slot_is_named(tmp_path):
     nodes, edges = _path_csvs(tmp_path)
     schema = tmp_path / "schema.txt"

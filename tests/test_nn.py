@@ -350,6 +350,22 @@ def test_flat_stack_head_views_the_first_clients():
     assert nn._layout(tuple(sorted(shapes.items()))) is nn._layout(tuple(sorted({"a": (3, 2), "b": (2,)}.items())))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_flat_stack_positions_are_each_coordinates_flat_index(n):
+    shapes = {"w": (2, 3), "s": (), "e": (0, 4), "b": (3,)}
+    stack = nn.FlatStack(shapes, n)
+    width = stack.buffer.shape[1]
+    assert width == 10 and stack.start == {"b": 0, "e": 3, "s": 3, "w": 4}
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        expected = [[c * width + stack.start[name] + k for k in range(size)] for c in range(n)]
+        positions = stack.positions(name)
+        assert positions.shape == (n, size) and positions.tolist() == expected
+        # the positions read the named tensor's coordinates from the flat buffer
+        stack[name][...] = np.arange(n * size).reshape(n, *shape) + 100.0 * (1 + sorted(shapes).index(name))
+        assert stack.buffer.reshape(-1)[positions].tolist() == stack[name].reshape(n, -1).tolist()
+
+
 def test_deserialize_rejects_every_truncation(tiny_world, tiny_cfg):
     blob = nn.serialize_params(model.init_base_params(tiny_world.network, tiny_cfg, seed=0).values)
     for size in range(len(blob)):

@@ -131,7 +131,8 @@ def test_noise_insensitive_to_dict_insertion_order():
 
 def test_noise_is_one_draw_equal_to_a_draw_per_tensor():
     # one clamp and one Laplace draw over every coordinate in sorted-name
-    # order, split back, give the bytes of a clamp and a draw per tensor
+    # order, split back, give the bytes of a clamp and a draw per tensor from
+    # the same stream
     cfg = DpConfig(epsilon=0.5, clip_bound=0.75)
     rng = np.random.default_rng(9)
     params = {
@@ -144,7 +145,7 @@ def test_noise_is_one_draw_equal_to_a_draw_per_tensor():
     reference_rng = nn.spawn_rng(1, "dp")
     for name in sorted(params):
         clamped = np.clip(params[name], -cfg.clip_bound, cfg.clip_bound)
-        expected = clamped + reference_rng.laplace(0.0, cfg.scale, size=params[name].shape)
+        expected = clamped + privacy._laplace(reference_rng, cfg.scale, params[name].size).reshape(params[name].shape)
         assert out[name].shape == params[name].shape and out[name].tobytes() == expected.tobytes(), name
 
 

@@ -19,6 +19,8 @@ from dataclasses import replace
 from datetime import datetime, time, timedelta
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, nn, privacy
 from .data import EPOCH_DATE, generate_world
 from .harness import PREDICTION_FIELDS, ExperimentConfig, load_config
@@ -75,13 +77,19 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_values(cfg: ExperimentConfig, explicit: str | None):
-    if explicit is not None:
-        return nn.load_params(explicit), explicit
-    if cfg.out_dir is not None:
-        path = Path(cfg.out_dir) / "checkpoints" / "global_final.bin"
-        if path.exists():
-            return nn.load_params(path), str(path)
-    return None, None
+    """(values, path) of the explicit or the run's final checkpoint, or (None, None); a non-finite value is an error."""
+    path = explicit
+    if path is None and cfg.out_dir is not None:
+        final = Path(cfg.out_dir) / "checkpoints" / "global_final.bin"
+        path = str(final) if final.exists() else None
+    if path is None:
+        return None, None
+    values = nn.load_params(path)
+    for name, v in values.items():
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"{path}: tensor {name!r} has non-finite value {v.flat[bad[0]]} at flat index {bad[0]}")
+    return values, path
 
 
 def _cmd_attack(args) -> int:

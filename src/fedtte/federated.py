@@ -37,7 +37,8 @@ plain per-pair SGD on given (y, y_hat) pairs, y_hat coming from the one
 base_predictions pass of its localized global model that also serves the
 evaluation. It is stepped in lockstep the same way on the clients' working
 sets: the embedding rows their profiles read and their dense tensors, in one
-flat buffer, so a step checks and updates a single tensor. Both phases check
+flat buffer, so a step checks and updates a single tensor; personal_loss
+runs the working set's forward and backward closures. Both phases check
 steps with _steps_ok and update with nn.sgd_step, each on its one flat buffer.
 """
 
@@ -573,9 +574,9 @@ def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedCo
     table rows their profiles read and the dense tensors, in one (C, P)
     buffer that is checked and updated as one tensor. Everything a step
     needs is built once per call: each step's (y, y_hat) slice and
-    has-a-pair mask here, and personal_loss's index arrays and buffers in
-    the working set (PersonalWorkingSet.step), whose results are byte for
-    byte those of the per-tensor formulas. The whole tables are written back
+    has-a-pair mask here, and the working set's forward and backward
+    closures (PersonalWorkingSet.step), whose results are byte for byte
+    those of the per-tensor formulas. The whole tables are written back
     once, after the last epoch; no client's result depends on the others.
     The localized global models the clients hold are read-only while this
     runs.

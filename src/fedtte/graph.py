@@ -4,8 +4,10 @@ A road network is a directed graph of intersections (nodes) and segments
 (edges) carrying static categorical and numeric features. Two adjacency
 structures are maintained: node-wise (intersections joined by a segment) and
 edge-wise (the line graph: segments adjacent iff they share an endpoint).
-Both are symmetrized with zero diagonal for spectral use; edge direction is
-retained on the records and used only for route validation.
+Both come from the node-edge incidence matrix B (1.0 at both ends of each
+segment), as B B^T and B^T B with the diagonal dropped and every link set to
+1.0: symmetric, zero-diagonal and unweighted for spectral use. Edge direction
+is retained on the records and used only for route validation.
 
 CSV schemas (UTF-8, header required), read and written from the column
 constants below:
@@ -158,33 +160,15 @@ def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
 
 
 def _build_adjacency(edges: list[EdgeRecord], node_index: dict[int, int], n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    node_pairs: set[tuple[int, int]] = set()
-    incident: dict[int, list[int]] = {}
-    for pos, e in enumerate(edges):
-        u = node_index[e.from_node]
-        v = node_index[e.to_node]
-        node_pairs.add((min(u, v), max(u, v)))
-        incident.setdefault(u, []).append(pos)
-        incident.setdefault(v, []).append(pos)
-
-    def sym(pairs: set[tuple[int, int]], n: int) -> sp.csr_matrix:
-        if not pairs:
-            return sp.csr_matrix((n, n), dtype=np.float64)
-        rows, cols = [], []
-        for i, j in pairs:
-            rows.extend((i, j))
-            cols.extend((j, i))
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    edge_pairs: set[tuple[int, int]] = set()
-    for lst in incident.values():
-        for a in range(len(lst)):
-            for b in range(a + 1, len(lst)):
-                i, j = lst[a], lst[b]
-                if i != j:
-                    edge_pairs.add((min(i, j), max(i, j)))
-    return sym(node_pairs, n_nodes), sym(edge_pairs, len(edges))
+    ends = np.array([node_index[node] for e in edges for node in (e.from_node, e.to_node)], dtype=np.int64)
+    incidence = sp.csr_matrix((np.ones(len(ends)), (ends, np.arange(len(ends)) // 2)), shape=(n_nodes, len(edges)))
+    adjacencies = incidence @ incidence.T, (incidence.T @ incidence).tocsr()
+    for a in adjacencies:
+        a.setdiag(0)
+        a.eliminate_zeros()
+        a.data[:] = 1.0
+        a.sort_indices()
+    return adjacencies
 
 
 def build_network(

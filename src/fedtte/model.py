@@ -50,9 +50,9 @@ linearly transformed standardized dense features) through one linear head to
 a scalar bias in seconds; the final prediction is ``y_hat + bias``. Its loss
 is evaluated for C clients at once on their working sets: the embedding
 rows each profile reads and the dense tensors, in one flat (C, P) buffer
-laid out by nn.FlatStack (PersonalWorkingSet), whose index arrays and
-buffers are built once and reused by every step. Each client's row is
-computed exactly as it would be alone, and exactly as on the whole tables.
+laid out by nn.FlatStack (PersonalWorkingSet), whose forward and backward
+closures over index arrays and buffers are built once and reused by every
+step. Each client's row is computed exactly as it would be alone, and exactly as on the whole tables.
 
 All backward passes are hand-written and certified by nn.check_gradients.
 """
@@ -742,42 +742,6 @@ _PERSONAL_TABLES = (("p.region", "top_regions"), ("p.edge", "top_edges"))
 
 
 @dataclass(frozen=True)
-class _PersonalStep:
-    """A working set's prebuilt personal step (PersonalWorkingSet.step), for
-    C clients whose head input x_u = [embedding rows | hidden] has k columns.
-
-    inputs holds each client's row [p.head.w | x_u]: take holds the flat
-    positions in values that fill its first part (taken), and the hidden
-    part (hidden_in) is written from the matmul output hidden. The weights
-    (flat_weights, C rows) are [d_bias * inputs (scaled) | d_bias |
-    x_dense (x) d_hidden (outer)], and scatter holds the flat position in
-    values of each weight, in that order. The other fields are views of
-    these, so a step slices nothing: slicing them in each call made the c04
-    personal phase about 18% slower."""
-
-    take: np.ndarray
-    taken: np.ndarray
-    inputs: np.ndarray
-    hidden_in: np.ndarray
-    x_u: np.ndarray
-    x_dense: np.ndarray
-    x_dense_col: np.ndarray
-    head_b: np.ndarray
-    hidden: np.ndarray
-    hidden_rows: np.ndarray
-    head_out: np.ndarray
-    head_dot: np.ndarray
-    bias: np.ndarray
-    scaled: np.ndarray
-    d_bias: np.ndarray
-    d_bias_col: np.ndarray
-    d_hidden: np.ndarray
-    outer: np.ndarray
-    flat_weights: np.ndarray
-    scatter: np.ndarray
-
-
-@dataclass(frozen=True)
 class PersonalWorkingSet:
     """C clients' personal-model working state in one flat (C, P) buffer.
 
@@ -786,67 +750,81 @@ class PersonalWorkingSet:
     widest client, and its whole p.dense.* and p.head.* tensors. views is
     the nn.FlatStack that lays them out in sorted-name order, values its
     buffer: the (C, ...) view of each part, a table's view being
-    (C, width, dim); layout gives each name's (start column, per-client
-    shape). gather holds the flat positions in values of the head input's
-    embedding part (the profile's region rows, then its edge rows). x_dense
-    is each profile's dense features standardized by its client's model. A
-    padding slot is never read, its gradient is +0.0, and it is never
-    written back. step holds personal_loss's index arrays and buffers
-    (_PersonalStep), built on the first call and reused by every later one;
-    each working set has its own, so two never share a buffer.
+    (C, width, dim), starting at column views.start[name]. gather holds
+    the flat positions in values of the head input's embedding part (the
+    profile's region rows, then its edge rows). x_dense is each profile's
+    dense features standardized by its client's model. A padding slot is
+    never read, its gradient is +0.0, and it is never written back. step
+    holds personal_loss's forward and backward closures, built on the first
+    call and reused by every later one; each working set has its own
+    buffers, so two never share one.
     """
 
     values: np.ndarray
     views: nn.FlatStack
-    layout: dict[str, tuple[int, tuple[int, ...]]]
     rows: dict[str, list[np.ndarray]]
     gather: np.ndarray
     x_dense: np.ndarray
 
     @cached_property
-    def step(self) -> "_PersonalStep":
-        """personal_loss's index arrays and buffers, built on first use."""
-        n = len(self.values)
-        n_dense, dd = self.views["p.dense.w"].shape[1:]
+    def step(self):
+        """personal_loss's (forward, backward) closures, built on first use.
+
+        forward() fills each client's row [p.head.w | x_u] of inputs (one
+        take, then the hidden part) and returns the biases (C,); backward(d)
+        writes the weights [d * inputs | d | x_dense (x) d_hidden] and adds
+        them at their flat positions in values (scatter) with one
+        np.bincount. Every view is cut here once: slicing them in each call
+        made the c04 personal phase about 18% slower.
+        """
+        values, views = self.values, self.views
+        n = len(values)
+        n_dense, dd = views["p.dense.w"].shape[1:]
         block = self.gather.shape[1]
         k = block + dd  # the head input's width
-        positions = self.views.positions
-        inputs, hidden, head_out = np.empty((n, k + k)), np.empty((n, 1, dd)), np.empty((n, 1, 1))
-        weights = np.empty((n, 2 * k + 1 + n_dense * dd))
+        positions = views.positions
+        take = np.concatenate([positions("p.head.w"), self.gather], axis=1)
         # the flat position in values of each weight, in the weights' order;
         # d_xu's hidden part is p.dense.b's gradient
         scatter = np.concatenate(
             [self.gather, positions("p.dense.b"), positions("p.head.w"), positions("p.head.b"), positions("p.dense.w")], axis=1
-        )
-        return _PersonalStep(
-            take=np.concatenate([positions("p.head.w"), self.gather], axis=1),
-            taken=inputs[:, : k + block],
-            inputs=inputs,
-            hidden_in=inputs[:, k + block :],
-            x_u=inputs[:, k:][:, None, :],
-            x_dense=self.x_dense[:, None, :],
-            x_dense_col=self.x_dense[:, :, None],
-            head_b=self.views["p.head.b"][:, 0],
-            hidden=hidden,
-            hidden_rows=hidden[:, 0],
-            head_out=head_out,
-            head_dot=head_out[:, 0, 0],
-            bias=np.empty(n),
-            scaled=weights[:, : 2 * k],
-            d_bias=weights[:, 2 * k],
-            d_bias_col=weights[:, 2 * k : 2 * k + 1],
-            d_hidden=weights[:, block:k][:, None, :],
-            outer=weights[:, 2 * k + 1 :].reshape(n, n_dense, dd),
-            flat_weights=weights.reshape(-1),
-            scatter=scatter.ravel(),
-        )
+        ).ravel()
+        inputs, hidden, head_out, bias = np.empty((n, k + k)), np.empty((n, 1, dd)), np.empty((n, 1, 1)), np.empty(n)
+        weights = np.empty((n, 2 * k + 1 + n_dense * dd))
+        taken, hidden_in, x_u = inputs[:, : k + block], inputs[:, k + block :], inputs[:, k:][:, None, :]
+        x_dense, x_dense_col = self.x_dense[:, None, :], self.x_dense[:, :, None]
+        dense_w, dense_b, head_w, head_b = views["p.dense.w"], views["p.dense.b"], views["p.head.w"], views["p.head.b"][:, 0]
+        hidden_rows, head_dot = hidden[:, 0], head_out[:, 0, 0]
+        scaled, d_bias, d_bias_col = weights[:, : 2 * k], weights[:, 2 * k], weights[:, 2 * k : 2 * k + 1]
+        d_hidden, outer = weights[:, block:k][:, None, :], weights[:, 2 * k + 1 :].reshape(n, n_dense, dd)
+        flat_weights = weights.reshape(-1)
+
+        def forward() -> np.ndarray:
+            # np.matmul on (C, 1, k) @ (C, k, m) runs one BLAS call per client, the same
+            # call as a single client's (k,) @ (k, m); einsum would sum in another order.
+            # The call depends on the strides within a client's tensor, which the views
+            # into values and into inputs share with a tensor of its own, and the
+            # outputs are whole buffers, as a new result would be.
+            values.take(take, out=taken)
+            np.matmul(x_dense, dense_w, out=hidden)
+            np.add(hidden_rows, dense_b, out=hidden_in)
+            np.matmul(x_u, head_w, out=head_out)
+            return np.add(head_dot, head_b, out=bias)
+
+        def backward(d: np.ndarray) -> np.ndarray:
+            d_bias[...] = d
+            np.multiply(d_bias_col, inputs, out=scaled)
+            np.multiply(x_dense_col, d_hidden, out=outer)
+            return np.bincount(scatter, weights=flat_weights, minlength=values.size).reshape(values.shape)
+
+        return forward, backward
 
     def unpack(self, buffer: np.ndarray, c: int, out: nn.ParamSet) -> nn.ParamSet:
         """Write client c's coordinates of a (C, P) buffer laid out as values
         (the working values, or personal_loss's gradients) into out, client
         c's whole personal tensors, in place; returns out."""
         for name, dest in out.items():
-            start, shape = self.layout[name]
+            start, shape = self.views.start[name], self.views[name].shape[1:]
             part = buffer[c, start : start + math.prod(shape)].reshape(shape)
             if name in self.rows:
                 rows = self.rows[name][c]
@@ -891,29 +869,13 @@ def personal_working_set(profiles: list[DriverProfile], params: list[PersonalMod
     # flat positions: client c's column k sits at c * width + k
     gather = np.concatenate(columns, axis=1) + views.buffer.shape[1] * np.arange(n)[:, None]
     x_dense = np.stack([(profile.dense_features() - m.dense_mean) / m.dense_std for profile, m in zip(profiles, params)])
-    layout = {name: (views.start[name], shape) for name, shape in shapes.items()}
-    return PersonalWorkingSet(views.buffer, views, layout, rows, gather, x_dense)
-
-
-def _personal_forward(ws: PersonalWorkingSet) -> np.ndarray:
-    """Per-client biases (C,) of a working set, into the step's bias buffer;
-    the head inputs x_u are left in step.inputs."""
-    st = ws.step
-    # np.matmul on (C, 1, k) @ (C, k, m) runs one BLAS call per client, the same
-    # call as a single client's (k,) @ (k, m); einsum would sum in another order.
-    # The call depends on the strides within a client's tensor, which the
-    # views into values and into step.inputs share with a tensor of its own,
-    # and the outputs are whole buffers, as a new result would be.
-    ws.values.take(st.take, out=st.taken)
-    np.matmul(st.x_dense, ws.views["p.dense.w"], out=st.hidden)
-    np.add(st.hidden_rows, ws.views["p.dense.b"], out=st.hidden_in)
-    np.matmul(st.x_u, ws.views["p.head.w"], out=st.head_out)
-    return np.add(st.head_dot, st.head_b, out=st.bias)
+    return PersonalWorkingSet(views.buffer, views, rows, gather, x_dense)
 
 
 def personal_bias(profile: DriverProfile, params: PersonalModelParams) -> float:
     """Scalar travel-time bias in seconds for this driver."""
-    return float(_personal_forward(personal_working_set([profile], [params]))[0])
+    forward, _ = personal_working_set([profile], [params]).step
+    return float(forward()[0])
 
 
 def predict_final(y_hat: float, bias: float) -> float:
@@ -930,12 +892,12 @@ def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray
     ws.unpack writes a row of the gradients into whole-table gradients. A
     single client is the case C = 1.
 
-    The step runs on ws.step, built once per working set: one take fills
-    each client's input row [p.head.w | x_u], and the weights
-    [d_bias * (p.head.w | x_u) | d_bias | x_dense (x) d_hidden] are d_bias
-    copied into its column and two in-place multiplies; one np.bincount adds
-    them at their positions in values. What the buffers held before a call
-    is never read. The bytes are those of the per-tensor formulas:
+    The step runs ws.step's two closures, built once per working set: in
+    forward one take fills each client's input row [p.head.w | x_u]; in
+    backward the weights [d_bias * (p.head.w | x_u) | d_bias | x_dense (x)
+    d_hidden] are d_bias copied into its column and two in-place
+    multiplies, and one np.bincount adds them at their positions in values.
+    What the buffers held before a call is never read. The bytes are those of the per-tensor formulas:
     - the embedding weights keep their relative order, so a repeated
       profile id sums its terms in the same order;
     - every other position gets exactly one weight, and bincount's 0.0 + w
@@ -949,8 +911,8 @@ def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[1] == 0:
         raise ValueError("empty batch")
-    st = ws.step
-    bias = _personal_forward(ws)
+    forward, backward = ws.step
+    bias = forward()
     r = np.subtract(batch[:, 0, 0], batch[:, 0, 1])
     loss = np.multiply(np.subtract(r, bias, out=r), r)
     # The sums run on contiguous arrays, as they did before: where both terms
@@ -960,8 +922,4 @@ def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray
         r = batch[:, j, 0] - batch[:, j, 1] - bias
         loss += r * r
         d_bias += -2.0 * r
-    st.d_bias[...] = d_bias
-    np.multiply(st.d_bias_col, st.inputs, out=st.scaled)
-    np.multiply(st.x_dense_col, st.d_hidden, out=st.outer)
-    grads = np.bincount(st.scatter, weights=st.flat_weights, minlength=ws.values.size)
-    return loss, grads.reshape(ws.values.shape)
+    return loss, backward(d_bias)

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from fedtte import cli, nn
+from fedtte.data import generate_world
+from fedtte.harness import load_config
+from fedtte.model import init_base_params
 
 CONFIG_TEXT = """
 [world]
@@ -122,6 +125,20 @@ def test_export_state_truncated_checkpoint_exits_1(tmp_path, config_file, capsys
     assert cli.main(["export-state", "--config", str(config_file), "--checkpoint", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "truncated" in err
+
+
+@pytest.mark.parametrize("command", ["export-state", "attack"])
+def test_a_non_finite_checkpoint_exits_1_naming_file_tensor_and_index(tmp_path, config_file, capsys, command):
+    cfg = load_config(config_file)
+    values = init_base_params(generate_world(cfg.world).network, cfg.model, cfg.federated.seed).values
+    values["head_e.b"][3] = np.nan
+    path = tmp_path / "corrupt.bin"
+    nn.save_params(values, path)
+    extra = ["--epsilon", "inf"] if command == "attack" else []
+    assert cli.main([command, "--config", str(config_file), "--checkpoint", str(path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and str(path) in err and "'head_e.b'" in err and "flat index 3" in err
+    assert "risk" not in out
 
 
 def test_metrics_on_perfect_dump_reports_zeros(tmp_path, capsys):

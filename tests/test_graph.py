@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,38 @@ def test_edge_adjacency_matches_bruteforce(seed):
                 {ei.from_node, ei.to_node} & {ej.from_node, ej.to_node}
             )
             assert bool(adj[i, j]) == share, (i, j)
+
+
+def _assert_same_csr(got, want):
+    assert got.format == want.format == "csr" and got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), part
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_adjacencies_are_the_canonical_csr_of_the_brute_force_matrices(data):
+    # ids differ from positions; a repeated pair of endpoints is a parallel
+    # or reverse segment, and a node no pair names is isolated
+    n_nodes = data.draw(st.integers(2, 10))
+    ids = data.draw(st.permutations(range(100, 100 + 2 * n_nodes)))[:n_nodes]
+    endpoint = st.integers(0, n_nodes - 1)
+    pairs = data.draw(st.lists(st.tuples(endpoint, endpoint).filter(lambda p: p[0] != p[1]), min_size=1, max_size=25))
+    edges = [make_edge(1000 - k, ids[u], ids[v]) for k, (u, v) in enumerate(pairs)]
+    net = graph.build_network([make_node(i) for i in ids], edges)
+    node_dense, edge_dense = np.zeros((n_nodes, n_nodes)), np.zeros((len(pairs), len(pairs)))
+    for i, (u, v) in enumerate(pairs):
+        node_dense[u, v] = node_dense[v, u] = 1.0
+        for j, other in enumerate(pairs):
+            edge_dense[i, j] = float(i != j and bool({u, v} & set(other)))
+    for adjacency, laplacian, dense in (
+        (net.node_adjacency, net.laplacian_nodes, node_dense),
+        (net.edge_adjacency, net.laplacian_edges, edge_dense),
+    ):
+        want = sp.csr_matrix(dense)
+        _assert_same_csr(adjacency, want)
+        _assert_same_csr(laplacian, graph.normalized_laplacian(want))
 
 
 # ---------------------------------------------------------------- validation

@@ -52,8 +52,8 @@ def main() -> None:
         print(f"{split:<14}{rep.mae:>10.2f}{rep.rmse:>10.2f}{rep.mape:>10.2f}")
 
     # morning-rush snapshot from the final aggregated model
-    ctx = model.TimeContext.from_datetime(datetime(2024, 1, 1, 8, 0), cfg.model.time_slots)
-    state = model.traffic_state(result.world.network, result.server.global_params, [ctx])[ctx]
+    slot = model.slot_of_time(datetime(2024, 1, 1, 8, 0), cfg.model.time_slots)
+    state = model.traffic_state(result.world.network, result.server.global_params, [slot])[slot]
     rows = harness.export_state(state, result.world.network)
     edge_rows = [r for r in rows if r["entity_kind"] == "edge"]
     buckets = {b: sum(1 for r in edge_rows if r["bucket"] == b) for b in harness.CONGESTION_BUCKETS}

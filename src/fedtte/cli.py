@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from dataclasses import replace
 from datetime import datetime, time, timedelta
@@ -24,7 +25,7 @@ import numpy as np
 from . import harness, nn, privacy
 from .data import EPOCH_DATE, generate_world
 from .harness import PREDICTION_FIELDS, ExperimentConfig, load_config
-from .model import TimeContext, init_base_params, traffic_state
+from .model import init_base_params, slot_of_time, traffic_state
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -77,25 +78,30 @@ def _cmd_train(args) -> int:
 
 
 def _load_checkpoint_values(cfg: ExperimentConfig, explicit: str | None):
-    """(values, path) of the explicit or the run's final checkpoint, or (None, None); a non-finite value is an error."""
+    """(world, values, path): the config's world and the explicit or the run's final checkpoint, or None, None;
+    a checkpoint that does not fit the config's base model or holds a non-finite value is an error naming its file."""
+    world = generate_world(cfg.world)
     path = explicit
     if path is None and cfg.out_dir is not None:
         final = Path(cfg.out_dir) / "checkpoints" / "global_final.bin"
         path = str(final) if final.exists() else None
     if path is None:
-        return None, None
+        return world, None, None
     values = nn.load_params(path)
+    try:
+        nn.assert_congruent(init_base_params(world.network, cfg.model, cfg.federated.seed).values, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for name, v in values.items():
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise ValueError(f"{path}: tensor {name!r} has non-finite value {v.flat[bad[0]]} at flat index {bad[0]}")
-    return values, path
+    return world, values, path
 
 
 def _cmd_attack(args) -> int:
     cfg = _effective_config(args)
-    world = generate_world(cfg.world)
-    start, source = _load_checkpoint_values(cfg, getattr(args, "checkpoint", None))
+    world, start, source = _load_checkpoint_values(cfg, getattr(args, "checkpoint", None))
     if source is not None:
         print(f"attacking uploads trained from checkpoint {source}")
     settings = cfg.attack
@@ -113,7 +119,6 @@ def _cmd_attack(args) -> int:
         seeds=seeds,
         start_values=start,
         schedule=cfg.schedule,
-        holidays=cfg.holidays,
     )
     for row in rows:
         if row["seed"] == "all":
@@ -128,20 +133,17 @@ def _cmd_attack(args) -> int:
 
 def _cmd_export_state(args) -> int:
     cfg = _effective_config(args)
-    world = generate_world(cfg.world)
-    values, source = _load_checkpoint_values(cfg, args.checkpoint)
+    world, values, source = _load_checkpoint_values(cfg, args.checkpoint)
     if values is None:
         raise ValueError("export-state needs --checkpoint or an --out directory holding checkpoints/global_final.bin")
-    params = init_base_params(world.network, cfg.model, cfg.federated.seed)
-    nn.assert_congruent(params.values, values)
-    params = params.with_values(values)
+    params = init_base_params(world.network, cfg.model, cfg.federated.seed).with_values(values)
     try:
         hh, mm = (int(part) for part in args.time.split(":"))
     except ValueError as exc:
         raise ValueError(f"--time must be HH:MM, got {args.time!r}") from exc
     dt = datetime.combine(EPOCH_DATE + timedelta(days=args.day), time(hh, mm))
-    ctx = TimeContext.from_datetime(dt, cfg.model.time_slots)
-    state = traffic_state(world.network, params, [ctx])[ctx]
+    slot = slot_of_time(dt, cfg.model.time_slots)
+    state = traffic_state(world.network, params, [slot])[slot]
     if args.csv is not None:
         dest = Path(args.csv)
     elif cfg.out_dir is not None:
@@ -154,16 +156,33 @@ def _cmd_export_state(args) -> int:
     return 0
 
 
+def _prediction_values(path, line: int, row: dict) -> list[float]:
+    """y_true_s, y_hat_s and y_final_s of one predictions.csv row read by a
+    csv.DictReader with restval ""; a missing, extra or non-finite field is
+    an error naming the file, the line and the column."""
+    if None in row:
+        raise ValueError(f"{path} line {line}: more fields than the header's {len(PREDICTION_FIELDS)}")
+    values = []
+    for column in PREDICTION_FIELDS[2:]:
+        try:
+            values.append(float(row[column]))
+        except ValueError:
+            values.append(math.nan)
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path} line {line}, {column}: expected a finite number, got {row[column]!r}")
+    return values
+
+
 def _cmd_metrics(args) -> int:
     with open(args.predictions, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames != list(PREDICTION_FIELDS):
             raise ValueError(f"{args.predictions}: expected header {','.join(PREDICTION_FIELDS)}")
         hat_pairs, final_pairs = [], []
         for row in reader:
-            y = float(row["y_true_s"])
-            hat_pairs.append((y, float(row["y_hat_s"])))
-            final_pairs.append((y, float(row["y_final_s"])))
+            y, y_hat, y_final = _prediction_values(args.predictions, reader.line_num, row)
+            hat_pairs.append((y, y_hat))
+            final_pairs.append((y, y_final))
     reports = {
         "global": harness.compute_metrics(hat_pairs, split="global"),
         "personalized": harness.compute_metrics(final_pairs, split="personalized"),

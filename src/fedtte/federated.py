@@ -60,13 +60,13 @@ from .model import (
     BaseModelParams,
     ModelConfig,
     PersonalModelParams,
-    TimeContext,
     TrafficState,
     base_loss,
     init_base_params,
     personal_loss,
     personal_working_set,
     predict_route,
+    slot_of_time,
     traffic_state,
 )
 from .privacy import DpConfig, noise_params
@@ -342,10 +342,10 @@ _MAX_STEP = 1.0
 # Up to this many coordinates (128 KB), max |g| is read from an |g| copy; a
 # max and a min over the rows cost more there (timeit, one core of a 2-vCPU
 # Xeon: 4.1 against 7.1 us on the personal phase's (10, 105), 4.9 against
-# 7.2 us on a (1, 3180) step). Above it the copy costs as much or more (26.5
-# against 21.7 us on a (10, 4846) field read; the two cross between 16,000
-# and 25,000 coordinates of 3,180-long rows), and it would raise the peak
-# memory of a large graph's whole-buffer steps.
+# 7.2 us on a (1, 3180) row, near a 3x4 world's P = 2,980). Above it the copy
+# costs as much or more (26.5 against 21.7 us on a (10, 4846) field read; the
+# two cross between 16,000 and 25,000 coordinates of rows that long), and it
+# would raise the peak memory of a large graph's whole-buffer steps.
 _SMALL_READ = 16_384
 
 
@@ -374,7 +374,6 @@ def client_update(
     config: FederatedConfig,
     window: tuple[datetime, datetime],
     round_index: int = 0,
-    holidays: frozenset = frozenset(),
 ) -> list[tuple[nn.ParamSet, int]]:
     """Local training of a round's chosen clients on their in-window
     trajectories, then DP noising; one (upload, n_m) per client, in order.
@@ -398,7 +397,7 @@ def client_update(
             raise ValueError(f"client {client.client_id} trains on another road network")
     for client in clients:
         client.localized_global = None  # replaced below; not kept alive beside the stack
-    trained = _lockstep_sgd(clients[0].network, global_params, batches, config, holidays)
+    trained = _lockstep_sgd(clients[0].network, global_params, batches, config)
     for client, values in zip(clients, trained):
         client.localized_global = global_params.with_values(values)
     return [(config.dp_upload(c.localized_global.values, c.client_id, round_index), len(batch)) for c, batch in zip(clients, batches)]
@@ -425,7 +424,7 @@ def _training_buffers(rows: int, n_coords: int) -> tuple[np.ndarray, np.ndarray]
     return _training_buffer[0], _training_buffer[1]
 
 
-def _lockstep_sgd(network, global_params, batches, config, holidays) -> list[nn.ParamSet]:
+def _lockstep_sgd(network, global_params, batches, config) -> list[nn.ParamSet]:
     """Each client's tensors after local_epochs passes of per-trajectory SGD
     over its batch from the delivered model, one array per tensor, in the
     order of batches. The stack and the gradients live in the process's
@@ -447,7 +446,7 @@ def _lockstep_sgd(network, global_params, batches, config, holidays) -> list[nn.
         for _ in range(config.local_epochs):
             for step in steps:
                 active = len(step)
-                losses, step_grads = base_loss(network, global_params, values.head(active), step, holidays, grads.head(active), field_cache)
+                losses, step_grads = base_loss(network, global_params, values.head(active), step, grads.head(active), field_cache)
                 cols, flat = step_grads.cols, {"flat": step_grads.buffer}
                 nn.sgd_step({"flat": values.buffer[:active]}, flat, lr, _steps_ok(losses, flat, lr, cols), cols)
     slot_of = {i: slot for slot, i in enumerate(order)}
@@ -476,7 +475,6 @@ def train_round(
     pool: list[ClientState],
     window: tuple[datetime, datetime],
     config: FederatedConfig,
-    holidays: frozenset = frozenset(),
 ) -> list[tuple[ClientState, int, nn.ParamSet]]:
     """Select, train and aggregate the clients eligible in the window.
 
@@ -488,7 +486,7 @@ def train_round(
     clients = server.choose(pool, window, config)
     uploads: list[tuple[ClientState, int, nn.ParamSet]] = []
     if clients:
-        results = client_update(clients, server.global_params, config, window, server.round_index, holidays)
+        results = client_update(clients, server.global_params, config, window, server.round_index)
         uploads = [(client, n_m, upload) for client, (upload, n_m) in zip(clients, results)]
     server.advance(uploads)
     return uploads
@@ -499,7 +497,6 @@ def run_round(
     pool: list[ClientState],
     instant: Instant,
     config: FederatedConfig,
-    holidays: frozenset = frozenset(),
 ) -> tuple[RoundRecord, BaseModelParams, TrafficState | None]:
     """One aggregation round at the given instant: train_round, then the
     served-state refresh and the round record.
@@ -507,23 +504,23 @@ def run_round(
     Zero eligible clients skips the round (recorded, global untouched).
     """
     window = (instant.start, instant.end)
-    ctx = TimeContext.from_datetime(instant.end, server.model_cfg.time_slots, holidays)
+    slot = slot_of_time(instant.end, server.model_cfg.time_slots)
     band = server.schedule.band_label(instant.hour)
     round_index = server.round_index
-    uploads = train_round(server, pool, window, config, holidays)
+    uploads = train_round(server, pool, window, config)
     errors = []
     if uploads:
         trained = [traj for client, _, _ in uploads for traj in client.in_window(*window)]
-        tctxs = [TimeContext.from_datetime(traj.departure, server.model_cfg.time_slots, holidays) for traj in trained]
-        states = traffic_state(server.network, server.global_params, [ctx, *tctxs])
-        server.latest_state = states[ctx]
-        errors = [abs(predict_route(states[tctx], traj.route) - traj.y) for traj, tctx in zip(trained, tctxs)]
+        slots = [slot_of_time(traj.departure, server.model_cfg.time_slots) for traj in trained]
+        states = traffic_state(server.network, server.global_params, [slot, *slots])
+        server.latest_state = states[slot]
+        errors = [abs(predict_route(states[s], traj.route) - traj.y) for traj, s in zip(trained, slots)]
     record = RoundRecord(
         round_index=round_index,
         day=instant.day,
         time_label=instant.label,
         band=band,
-        slot=ctx.slot,
+        slot=slot,
         selected=tuple(client.client_id for client, _, _ in uploads),
         clients=tuple((client.client_id, n_m, nn.params_digest(upload)) for client, n_m, upload in uploads),
         n_total=sum(n_m for _, n_m, _ in uploads),
@@ -549,17 +546,17 @@ def _read_only(pool: list[ClientState]):
             v.flags.writeable = True
 
 
-def base_predictions(client: ClientState, trajectories: list[TrajectoryRecord], holidays: frozenset = frozenset()) -> list[float]:
+def base_predictions(client: ClientState, trajectories: list[TrajectoryRecord]) -> list[float]:
     """The client's localized global model's estimate y_hat of each
     trajectory's travel time, in order, from one traffic_state pass; the
     model is read-only while it runs."""
     if client.localized_global is None:
         raise ValueError(f"client {client.client_id} has no localized global model")
     n_slots = client.localized_global.cfg.time_slots
-    ctxs = [TimeContext.from_datetime(traj.departure, n_slots, holidays) for traj in trajectories]
+    slots = [slot_of_time(traj.departure, n_slots) for traj in trajectories]
     with _read_only([client]):
-        states = traffic_state(client.network, client.localized_global, ctxs)
-    return [predict_route(states[ctx], traj.route) for traj, ctx in zip(trajectories, ctxs)]
+        states = traffic_state(client.network, client.localized_global, slots)
+    return [predict_route(states[slot], traj.route) for traj, slot in zip(trajectories, slots)]
 
 
 def fine_tune_personal(pool: list[ClientState], pairs: list, config: FederatedConfig) -> None:

@@ -51,13 +51,13 @@ from .federated import (
 from .graph import RoadNetwork, save_network
 from .model import (
     ModelConfig,
-    TimeContext,
     TrafficState,
     fit_dense_stats,
     init_personal_params,
     personal_bias,
     predict_final,
     predict_route,
+    slot_of_time,
     traffic_state,
 )
 
@@ -144,7 +144,6 @@ class ExperimentConfig:
     eval_days: int = 1
     max_rounds: int | None = None
     out_dir: str | None = None
-    holidays: frozenset = frozenset()
     attack: AttackSettings = AttackSettings()
 
     def __post_init__(self) -> None:
@@ -301,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for day in range(cfg.days):
         instants += fed.day_instants(schedule, day, instants[-1].end if instants else None)
     for instant in instants[: cfg.max_rounds]:
-        record, params, _ = fed.run_round(server, pool, instant, cfg.federated, cfg.holidays)
+        record, params, _ = fed.run_round(server, pool, instant, cfg.federated)
         records.append(record)
         log_lines.append(json.dumps(record.as_dict(), sort_keys=True))
         if out is not None and not record.skipped:
@@ -342,25 +341,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # a time: every client's states at once held about 14 MB more on the
     # stress workload and set the run's peak memory.
     ordered = sorted(eval_records, key=lambda t: (t.driver_id, t.departure))
-    ctxs = [TimeContext.from_datetime(traj.departure, cfg.model.time_slots, cfg.holidays) for traj in ordered]
-    held_out = {cid: list(group) for cid, group in itertools.groupby(zip(ordered, ctxs), key=lambda pair: pair[0].driver_id)}
+    slots = [slot_of_time(traj.departure, cfg.model.time_slots) for traj in ordered]
+    held_out = {cid: list(group) for cid, group in itertools.groupby(zip(ordered, slots), key=lambda pair: pair[0].driver_id)}
     pairs, evaluated = [], {}
     for client in pool:
         trips = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
         evals = [traj for traj, _ in held_out.get(client.client_id, [])]
-        y_hats = fed.base_predictions(client, trips + evals, cfg.holidays)
+        y_hats = fed.base_predictions(client, trips + evals)
         pairs.append([(traj.y, y_hat) for traj, y_hat in zip(trips, y_hats)])
         evaluated[client.client_id] = client, y_hats[len(trips) :]
     fed.fine_tune_personal(pool, pairs, cfg.federated)
 
-    init_states = traffic_state(world.network, init_params, ctxs)
+    init_states = traffic_state(world.network, init_params, slots)
     rows: list[tuple[str, float, float, float, float]] = []  # client, y, then baseline, global, personalized
     pred_rows: list[dict] = []
     for cid, group in held_out.items():
         client, y_hats = evaluated[cid]
         bias = personal_bias(client.profile, client.personal)
-        for (traj, ctx), y_hat in zip(group, y_hats):
-            y_init = predict_route(init_states[ctx], traj.route)
+        for (traj, slot), y_hat in zip(group, y_hats):
+            y_init = predict_route(init_states[slot], traj.route)
             y_final = predict_final(y_hat, bias)
             rows.append((traj.driver_id, traj.y, y_init, y_hat, y_final))
             pred_rows.append(

@@ -32,18 +32,19 @@ measured with OpenBLAS 0.3.31, and a BLAS that splits the rows into blocks
 may differ from the whole-graph pass in the last bit.
 
 The served traffic state is one whole-graph forward pass shared by every
-context it is read at, since only the temporal attention depends on the
-context. So one pass of a client's localized global model gives the
-estimates of both the personal phase's pairs and the evaluation.
+slot it is read at, since only the temporal attention depends on the slot.
+So one pass of a client's localized global model gives the estimates of
+both the personal phase's pairs and the evaluation.
 
-The temporal attention vector comes from a K x I table whose row k encodes
-(day-of-week one-hot, slot-k one-hot, holiday embedding) through a linear
-projection; component i of the attention is the softmax over the K slots of
-column i, evaluated at the context's slot. With a purely linear projection
-the day-of-week and holiday contributions are constant per column and cancel
-in the softmax, so attention varies with the slot only; the construction is
-kept as stated for shape fidelity. The loss and the served state share one
-attention path (_temporal_attention), the served state as a C = 1 stack.
+The temporal attention vector is read from a K x I table, temporal.w:
+component i is the softmax over the K slots of column i, at the route's
+slot. The paper builds row k from the time context (day-of-week one-hot,
+slot-k one-hot, holiday embedding) through a linear projection; there the
+day-of-week, holiday and bias terms add one constant to every slot of a
+column, which the softmax cancels, so only the slot rows are kept: the same
+attention in exact arithmetic, from fewer coordinates. The loss and the
+served state share one attention path (_temporal_attention), the served
+state as a C = 1 stack.
 
 The personal model maps a driver profile (embedded sparse features plus
 linearly transformed standardized dense features) through one linear head to
@@ -75,8 +76,6 @@ from .graph import RoadNetwork, Route
 # default observation surface.
 EDGE_INDEXED_TABLES = ("embed_e.identity", "head_e.b")
 
-DAYS_PER_WEEK = 7
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -92,7 +91,6 @@ class ModelConfig:
     hops: int = 2
     head_width: int = 16
     time_slots: int = 48
-    holiday_dim: int = 4
     output_scale: float = 300.0
     personal_embed_dim: int = 4
     personal_dense_dim: int = 4
@@ -105,26 +103,11 @@ class ModelConfig:
             raise ValueError("time_slots must be >= 1")
         if self.gcn_layers < 1:
             raise ValueError("gcn_layers must be >= 1")
-        for name in ("embed_dim", "head_width", "holiday_dim", "personal_embed_dim", "personal_dense_dim", "profile_arity"):
+        for name in ("embed_dim", "head_width", "personal_embed_dim", "personal_dense_dim", "profile_arity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not (0 < self.output_scale < math.inf):
             raise ValueError("output_scale must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class TimeContext:
-    day_of_week: int  # 0 = Monday
-    slot: int
-    is_holiday: bool = False
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.day_of_week < DAYS_PER_WEEK and self.slot >= 0):
-            raise ValueError(f"no time has day_of_week {self.day_of_week} (0-6) and slot {self.slot} (>= 0)")
-
-    @classmethod
-    def from_datetime(cls, dt: datetime, n_slots: int, holidays: frozenset = frozenset()) -> "TimeContext":
-        return cls(day_of_week=dt.weekday(), slot=slot_of_time(dt, n_slots), is_holiday=dt.date() in holidays)
 
 
 def slot_of_time(dt: datetime, n_slots: int) -> int:
@@ -165,7 +148,7 @@ class BaseModelParams:
 
 
 def _param_shapes(network: RoadNetwork, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d, j_width, k, h = cfg.embed_dim, cfg.head_width, cfg.time_slots, cfg.holiday_dim
+    d, j_width = cfg.embed_dim, cfg.head_width
     shapes: dict[str, tuple[int, ...]] = {}
     for side, vocabs, count, num_cols in (
         ("e", network.edge_vocabs, network.n_edges, network.edge_numeric.shape[1]),
@@ -181,9 +164,7 @@ def _param_shapes(network: RoadNetwork, cfg: ModelConfig) -> dict[str, tuple[int
             shapes[f"gcn_{side}.l{layer}.theta"] = (cfg.hops + 1,)
         shapes[f"head_{side}.w"] = (d, j_width)
         shapes[f"head_{side}.b"] = (count,)
-    shapes["temporal.holiday"] = (2, h)
-    shapes["temporal.w"] = (DAYS_PER_WEEK + k + h, j_width)
-    shapes["temporal.b"] = (j_width,)
+    shapes["temporal.w"] = (cfg.time_slots, j_width)
     return shapes
 
 
@@ -197,9 +178,12 @@ def _standardization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseModelParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, one independent
     stream per tensor so the result is insensitive to creation order."""
-    values: nn.ParamSet = {}
-    for name, shape in sorted(_param_shapes(network, cfg).items()):
-        values[name] = nn.init_uniform(shape, nn.spawn_rng(seed, "init", name))
+    shapes = _param_shapes(network, cfg)
+    k, width = shapes["temporal.w"]
+    # temporal.w is the slot rows of a draw of the paper's (7 + K + 4, I) table, so a seed starts where that model does
+    shapes["temporal.w"] = (7 + k + 4, width)
+    values = {name: nn.init_uniform(shape, nn.spawn_rng(seed, "init", name)) for name, shape in sorted(shapes.items())}
+    values["temporal.w"] = values["temporal.w"][7 : 7 + k].copy()
     em, es = _standardization(network.edge_numeric)
     vm, vs = _standardization(network.node_numeric)
     return BaseModelParams(cfg=cfg, values=values, edge_num_mean=em, edge_num_std=es, node_num_mean=vm, node_num_std=vs)
@@ -449,27 +433,15 @@ def _gcn_stack_backward(field: _Field, caches, d_out: np.ndarray, grads: nn.Grad
     return d_out
 
 
-def _temporal_attention(values: nn.ParamSet, ctxs: list[TimeContext], cfg: ModelConfig):
-    """Attention (C, I) of C clients' (C, ...) temporal tensors, client c's
-    read at ctxs[c]: component i is the softmax over the K slots of column i
-    of the client's K x I table, at the context's slot, so it lies in (0, 1).
-    Table row k projects the raw code of the context rendered at slot k
-    (day-of-week one-hot, slot-k one-hot, the context's holiday row). Also
-    returns the codes (C, K, 7+K+holiday_dim) and the softmax (C, K, I) for
-    the backward pass."""
-    k = cfg.time_slots
-    slots = [ctx.slot for ctx in ctxs]
-    if max(slots) >= k:
-        raise ValueError(f"slot {max(slots)} outside table with K={k}")
-    clients = np.arange(len(ctxs))
-    holiday_rows = values["temporal.holiday"][clients, [int(ctx.is_holiday) for ctx in ctxs]]
-    code = np.zeros((len(ctxs), k, DAYS_PER_WEEK + k + holiday_rows.shape[1]))
-    code[clients, :, [ctx.day_of_week for ctx in ctxs]] = 1.0
-    code[:, np.arange(k), DAYS_PER_WEEK + np.arange(k)] = 1.0
-    code[:, :, DAYS_PER_WEEK + k :] = holiday_rows[:, None, :]
-    table = np.matmul(code, values["temporal.w"]) + values["temporal.b"][:, None]
-    probs = nn.softmax(table, axis=1)
-    return probs[clients, slots], probs, code
+def _temporal_attention(values: nn.ParamSet, slots: list[int], cfg: ModelConfig):
+    """Attention (C, I) of C clients' (C, ...) temporal tables, client c's
+    read at slots[c]: component i is the softmax over the K slots of column i
+    of the client's K x I table, at its slot, so it lies in (0, 1). Also
+    returns the softmax (C, K, I) for the backward pass."""
+    if not 0 <= min(slots) <= max(slots) < cfg.time_slots:
+        raise ValueError(f"slots {slots} not all in a table with K={cfg.time_slots}")
+    probs = nn.softmax(values["temporal.w"], axis=1)
+    return probs[np.arange(len(slots)), slots], probs
 
 
 def _heads_forward(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, fields: tuple[_Field, _Field]):
@@ -485,20 +457,19 @@ def _heads_forward(network: RoadNetwork, params: BaseModelParams, values: nn.Par
     return {"xe": xe, "xv": xv, "he": he, "hv": hv, "ue": ue, "uv": uv, "caches_e": caches_e, "caches_v": caches_v}
 
 
-def traffic_state(network: RoadNetwork, params: BaseModelParams, ctxs: list[TimeContext]) -> dict[TimeContext, TrafficState]:
+def traffic_state(network: RoadNetwork, params: BaseModelParams, slots: list[int]) -> dict[int, TrafficState]:
     """Estimated travel-time vectors for every edge and node, one state per
-    distinct context of ctxs. The heads do not depend on the context, so one
-    whole-graph forward pass (of the C = 1 stack) serves every context."""
+    distinct slot of slots. The heads do not depend on the slot, so one
+    whole-graph forward pass (of the C = 1 stack) serves every slot."""
     values = {k: v[None] for k, v in params.values.items()}
     fw = _heads_forward(network, params, values, _whole_graph(network))
     ue, uv = fw["ue"][0], fw["uv"][0]
     scale = params.cfg.output_scale
     states = {}
-    # One context at a time, so a call holds one context's codes, not all.
-    for ctx in dict.fromkeys(ctxs):
-        a = _temporal_attention(values, [ctx], params.cfg)[0][0]
-        states[ctx] = TrafficState(
-            slot=ctx.slot,
+    for slot in dict.fromkeys(slots):
+        a = _temporal_attention(values, [slot], params.cfg)[0][0]
+        states[slot] = TrafficState(
+            slot=slot,
             n_slots=params.cfg.time_slots,
             y_edges=scale * (ue @ a),
             y_nodes=scale * (uv @ a),
@@ -532,7 +503,6 @@ def base_loss(
     params: BaseModelParams,
     values: nn.ParamSet,
     batch: list[tuple[Route, float]],
-    holidays: frozenset = frozenset(),
     grads: nn.FlatStack | None = None,
     field_cache: dict | None = None,
 ) -> tuple[np.ndarray, nn.FlatStack]:
@@ -581,8 +551,8 @@ def base_loss(
     written[...] = 0.0
     grads.cols.write(grads.buffer, written)
 
-    ctxs = [TimeContext.from_datetime(route.departure_time, cfg.time_slots, holidays) for route, _ in batch]
-    attn, probs, code = _temporal_attention(values, ctxs, cfg)
+    slots = [slot_of_time(route.departure_time, cfg.time_slots) for route, _ in batch]
+    attn, probs = _temporal_attention(values, slots, cfg)
 
     # The route sums, one client at a time, are the single-client operations on
     # the client's contiguous slice, so they add in the same order.
@@ -608,12 +578,8 @@ def base_loss(
     # softmax-at-slot backward: a_i = probs[t, i]
     d_at_slot = d_attn * attn
     d_table = -probs * d_at_slot[:, None, :]
-    d_table[clients, [ctx.slot for ctx in ctxs]] += d_at_slot
-    grads["temporal.w"] += np.matmul(code.transpose(0, 2, 1), d_table)
-    grads["temporal.b"] += d_table.sum(axis=1)
-    d_code = np.matmul(d_table, values["temporal.w"].transpose(0, 2, 1))
-    hol_block = DAYS_PER_WEEK + cfg.time_slots
-    grads["temporal.holiday"][clients, [int(ctx.is_holiday) for ctx in ctxs]] += d_code[:, :, hol_block:].sum(axis=1)
+    d_table[clients, slots] += d_at_slot
+    grads["temporal.w"] += d_table
 
     for side, du, h_top, caches, field, cat, x_std in (
         ("e", due, fw["he"], fw["caches_e"], field_e, network.edge_categorical, fw["xe"]),

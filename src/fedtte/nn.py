@@ -219,8 +219,12 @@ def save_params(params: ParamSet, path) -> None:
 
 
 def load_params(path) -> ParamSet:
-    with open(path, "rb") as fh:
-        return deserialize_params(fh.read())
+    """deserialize_params of a file's bytes; its errors name the file."""
+    try:
+        with open(path, "rb") as fh:
+            return deserialize_params(fh.read())
+    except ValueError as exc:  # a name that is not UTF-8 included
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def params_digest(params: ParamSet) -> str:

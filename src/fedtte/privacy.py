@@ -7,8 +7,8 @@ epsilon = inf is a bit-exact pass-through. epsilon is per coordinate: each
 noised coordinate is epsilon-DP. An upload noises all P coordinates of the
 base model, so by basic composition one upload is (P * epsilon)-DP, and a
 client's uploads add up the same way (Dwork & Roth 2014, section 3.5). P is
-3,180 on the 3x4 default world and 76,858 on a 30x30 grid, so epsilon = 10
-means about 31,800 per upload on the default world.
+2,980 on the 3x4 default world and 76,658 on a 30x30 grid, so epsilon = 10
+means about 29,800 per upload on the default world.
 
 The noise is Generator.laplace's inverse CDF, one uniform U per coordinate
 and 0.0 - b*log(2 - U - U) if U >= 0.5 else 0.0 + b*log(U + U), with one
@@ -201,7 +201,6 @@ def risk_eval(
     seed: int = 0,
     start_values: nn.ParamSet | None = None,
     schedule=None,
-    holidays: frozenset = frozenset(),
     records: list | None = None,
     first_round: FirstRound | None = None,
 ) -> list[AttackReport]:
@@ -243,7 +242,7 @@ def risk_eval(
             uploads = first_round.uploads_at(cfg, pool)
             server.advance(uploads)
         else:
-            uploads = fed.train_round(server, pool, window, cfg, holidays)
+            uploads = fed.train_round(server, pool, window, cfg)
         for client, _, upload in uploads:
             truth = frozenset(pos for t in client.in_window(*window) for pos in t.route.edge_positions())
             revealed = difference_attack(global_prev, upload, k)
@@ -266,7 +265,7 @@ def _start_server(world, model_cfg, cfg, schedule, start_values):
     return server
 
 
-def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, schedule, holidays, records) -> FirstRound:
+def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, schedule, records) -> FirstRound:
     """Walk one seed's day to its first trained round and train that round's
     clients once, their uploads noised at epsilon."""
     from . import federated as fed
@@ -279,7 +278,7 @@ def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, s
         window = (instant.start, instant.end)
         clients = server.choose(pool, window, cfg)
         if clients:
-            results = fed.client_update(clients, server.global_params, cfg, window, server.round_index, holidays)
+            results = fed.client_update(clients, server.global_params, cfg, window, server.round_index)
             chosen = [(client.client_id, n_m) for client, (_, n_m) in zip(clients, results)]
             localized = [client.localized_global.values for client in clients]
             return FirstRound(server, instants[i:], chosen, localized, epsilon, [upload for upload, _ in results])
@@ -298,7 +297,6 @@ def risk_sweep(
     seeds=range(20),
     start_values: nn.ParamSet | None = None,
     schedule=None,
-    holidays: frozenset = frozenset(),
 ) -> tuple[dict[float, float], list[dict]]:
     """Mean attack risk per epsilon over clients and seeds, plus CSV rows:
     for each epsilon in order, one per attacked upload, then an "all" row
@@ -314,7 +312,7 @@ def risk_sweep(
     records = datamod.sample_trajectories(world, 0)
     blocks: list[list[dict]] = [[] for _ in epsilons]  # per epsilon, its rows in seed order
     risks: list[list[float]] = [[] for _ in epsilons]
-    kwargs = dict(fed_config=fed_config, model_cfg=model_cfg, start_values=start_values, schedule=schedule, holidays=holidays, records=records)
+    kwargs = dict(fed_config=fed_config, model_cfg=model_cfg, start_values=start_values, schedule=schedule, records=records)
     for seed in seeds:
         first = _first_round(world, epsilons[0], seed=seed, **kwargs) if epsilons and rounds > 0 else None
         for eps, block, eps_risks in zip(epsilons, blocks, risks):

@@ -68,7 +68,6 @@ def tiny_cfg():
         hops=2,
         head_width=4,
         time_slots=4,
-        holiday_dim=2,
         output_scale=1.0,
         personal_embed_dim=3,
         personal_dense_dim=3,
@@ -114,37 +113,37 @@ def stack(param_sets):
     return {name: np.stack([values[name] for values in param_sets]) for name in param_sets[0]}
 
 
-def base_loss_one(network, params, route, y, holidays=frozenset()):
+def base_loss_one(network, params, route, y):
     """model.base_loss for one client: the C = 1 stack, unstacked again."""
-    losses, grads = model.base_loss(network, params, stack([params.values]), [(route, y)], holidays)
+    losses, grads = model.base_loss(network, params, stack([params.values]), [(route, y)])
     return float(losses[0]), {name: g[0] for name, g in grads.items()}
 
 
-def shared_base_loss(network, params, batch, holidays=frozenset()):
+def shared_base_loss(network, params, batch):
     """fn(values, _) for nn.check_gradients over one model's tensors: the summed
     loss of one or more routes under that model, each route stepped as a
     client holding a copy of it, and the summed gradients."""
 
     def fn(values, _):
         stacked = {k: np.broadcast_to(v, (len(batch), *v.shape)) for k, v in values.items()}
-        losses, grads = model.base_loss(network, params, stacked, batch, holidays)
+        losses, grads = model.base_loss(network, params, stacked, batch)
         return float(losses.sum()), {k: g.sum(axis=0) for k, g in grads.items()}
 
     return fn
 
 
-def localized_pairs(pool, holidays=frozenset()):
+def localized_pairs(pool):
     """Each client's (y, y_hat) pairs as run_experiment makes them for the
     personal phase: its trajectories in (departure, y) order, with its
     localized global model's estimates."""
     pairs = []
     for client in pool:
         trips = sorted(client.trajectories, key=lambda t: (t.departure, t.y))
-        y_hats = federated.base_predictions(client, trips, holidays)
+        y_hats = federated.base_predictions(client, trips)
         pairs.append([(traj.y, y_hat) for traj, y_hat in zip(trips, y_hats)])
     return pairs
 
 
-def fine_tune_personal(pool, config, holidays=frozenset()):
+def fine_tune_personal(pool, config):
     """federated.fine_tune_personal on the pool's localized_pairs."""
-    federated.fine_tune_personal(pool, localized_pairs(pool, holidays), config)
+    federated.fine_tune_personal(pool, localized_pairs(pool), config)

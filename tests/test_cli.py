@@ -141,6 +141,55 @@ def test_a_non_finite_checkpoint_exits_1_naming_file_tensor_and_index(tmp_path, 
     assert "risk" not in out
 
 
+def _old_layout_checkpoint(cfg, path):
+    # the base model with the day-of-week and holiday context of the paper's
+    # attention: temporal.w with 7 + K + 4 rows, plus temporal.b and temporal.holiday
+    values = init_base_params(generate_world(cfg.world).network, cfg.model, cfg.federated.seed).values
+    k, width = values["temporal.w"].shape
+    values.update({"temporal.w": np.zeros((7 + k + 4, width)), "temporal.b": np.zeros(width), "temporal.holiday": np.zeros((2, 4))})
+    nn.save_params(values, path)
+
+
+def _corrupt_name_checkpoint(cfg, path):
+    values = init_base_params(generate_world(cfg.world).network, cfg.model, cfg.federated.seed).values
+    blob = bytearray(nn.serialize_params(values))
+    blob[blob.index(b"head_e.b")] = 0xFF  # not UTF-8
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("command", ["export-state", "attack"])
+@pytest.mark.parametrize(
+    "write, message",
+    [(_old_layout_checkpoint, "only-right=['temporal.b', 'temporal.holiday']"), (_corrupt_name_checkpoint, "utf-8")],
+    ids=["old-layout", "corrupt-name"],
+)
+def test_a_checkpoint_that_does_not_load_exits_1_naming_its_file(tmp_path, config_file, capsys, command, write, message):
+    path = tmp_path / "checkpoint.bin"
+    write(load_config(config_file), path)
+    extra = ["--epsilon", "inf"] if command == "attack" else []
+    assert cli.main([command, "--config", str(config_file), "--checkpoint", str(path), *extra]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "risk" not in out
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("d000,e0,100.0", "line 3, y_hat_s: expected a finite number, got ''"),
+        ("d000,e0,nan,90.0,95.0", "line 3, y_true_s: expected a finite number, got 'nan'"),
+        ("d000,e0,100.0,abc,95.0", "line 3, y_hat_s: expected a finite number, got 'abc'"),
+        ("d000,e0,100.0,90.0,95.0,1", "line 3: more fields than the header's 5"),
+    ],
+    ids=["short-row", "nan", "not-a-number", "long-row"],
+)
+def test_metrics_rejects_a_malformed_row_naming_file_line_and_column(tmp_path, capsys, row, message):
+    dump = tmp_path / "predictions.csv"
+    dump.write_text(f"client_id,route_seq,y_true_s,y_hat_s,y_final_s\nd001,e1,250.0,250.0,250.0\n{row}\n")
+    assert cli.main(["metrics", str(dump)]) == 1
+    assert capsys.readouterr().err == f"error: {dump} {message}\n"
+
+
 def test_metrics_on_perfect_dump_reports_zeros(tmp_path, capsys):
     dump = tmp_path / "predictions.csv"
     with open(dump, "w", newline="") as fh:

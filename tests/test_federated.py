@@ -205,28 +205,6 @@ def test_client_update_single_trajectory_matches_hand_step(tiny_cfg):
         assert np.array_equal(upload[name], expected[name]), name
 
 
-def test_client_update_trains_on_the_holiday_context(tiny_cfg):
-    # a holiday changes the temporal code (its effect cancels in the softmax
-    # up to rounding), so the step must be the one base_loss takes with the
-    # holidays, and it differs from the step without them
-    world = _one_client_world()
-    client = build_clients(world)[0]
-    client.trajectories = client.trajectories[:1]
-    rec = client.trajectories[0]
-    holidays = frozenset({rec.departure.date()})
-    global_params = model.init_base_params(world.network, tiny_cfg, seed=1)
-    lr = 1e-6
-    cfg = FederatedConfig(clients_per_round=1, local_epochs=1, base_lr=lr, dp_epsilon=math.inf)
-    [(upload, _)] = client_update([client], global_params, cfg, _full_day(), holidays=holidays)
-
-    _, grads = base_loss_one(world.network, global_params, rec.route, rec.y, holidays)
-    expected = {k: v - lr * grads[k] for k, v in global_params.values.items()}
-    for name in expected:
-        assert np.array_equal(upload[name], expected[name]), name
-    [(plain, _)] = client_update([client], global_params, cfg, _full_day())
-    assert nn.params_digest(plain) != nn.params_digest(upload)
-
-
 def test_client_update_empty_window_rejected(tiny_cfg):
     world = _one_client_world()
     client = build_clients(world)[0]
@@ -449,10 +427,10 @@ def _prepared_client(world, tiny_cfg, residual=0.0, seed=0):
     states = {}
     shifted = []
     for t in client.trajectories:
-        ctx = model.TimeContext.from_datetime(t.departure, tiny_cfg.time_slots)
-        if ctx not in states:
-            states[ctx] = model.traffic_state(world.network, client.localized_global, [ctx])[ctx]
-        y_hat = model.predict_route(states[ctx], t.route)
+        slot = model.slot_of_time(t.departure, tiny_cfg.time_slots)
+        if slot not in states:
+            states[slot] = model.traffic_state(world.network, client.localized_global, [slot])[slot]
+        y_hat = model.predict_route(states[slot], t.route)
         shifted.append(replace(t, y=y_hat + residual))
     client.trajectories = shifted
     grid = world.grid
@@ -554,8 +532,8 @@ def _pool_with_personal_models(world, tiny_cfg, counts):
         )
         shifted = []
         for k, t in enumerate(client.trajectories[: counts[i]]):
-            ctx = model.TimeContext.from_datetime(t.departure, tiny_cfg.time_slots)
-            state = model.traffic_state(world.network, client.localized_global, [ctx])[ctx]
+            slot = model.slot_of_time(t.departure, tiny_cfg.time_slots)
+            state = model.traffic_state(world.network, client.localized_global, [slot])[slot]
             shifted.append(replace(t, y=model.predict_route(state, t.route) + 3.0 * (k % 3) + i))
         client.trajectories = shifted
     return pool
@@ -575,10 +553,10 @@ def _reference_fine_tune(client, cfg):
     skipped steps."""
     states, pairs = {}, []
     for traj in sorted(client.trajectories, key=lambda t: (t.departure, t.y)):
-        ctx = model.TimeContext.from_datetime(traj.departure, client.localized_global.cfg.time_slots)
-        if ctx not in states:
-            states[ctx] = model.traffic_state(client.network, client.localized_global, [ctx])[ctx]
-        pairs.append((traj.y, model.predict_route(states[ctx], traj.route)))
+        slot = model.slot_of_time(traj.departure, client.localized_global.cfg.time_slots)
+        if slot not in states:
+            states[slot] = model.traffic_state(client.network, client.localized_global, [slot])[slot]
+        pairs.append((traj.y, model.predict_route(states[slot], traj.route)))
     prof, v = client.profile, nn.clone_params(client.personal.values)
     regions, edges = list(prof.top_regions), list(prof.top_edges)
     dim = v["p.region"].shape[1]
@@ -658,7 +636,7 @@ def test_fine_tune_client_independent_of_pool(tiny_world, tiny_cfg, order):
 # arithmetic: a C = 1 base_loss per trajectory, the scalar step check, and
 # p - lr * g.
 
-_LOCKSTEP_CFG = model.ModelConfig(embed_dim=4, head_width=4, time_slots=8, holiday_dim=2, output_scale=10.0)
+_LOCKSTEP_CFG = model.ModelConfig(embed_dim=4, head_width=4, time_slots=8, output_scale=10.0)
 _LOCKSTEP_WORLDS = {
     # 34 edges: every field is the whole graph
     "3x4": data.generate_world(data.WorldSpec(
@@ -672,7 +650,7 @@ _LOCKSTEP_WORLDS = {
 _DAY0 = (datetime(2024, 1, 1), datetime(2024, 1, 2))
 
 
-def _reference_client_update(client, global_params, cfg, window, round_index, holidays):
+def _reference_client_update(client, global_params, cfg, window, round_index):
     """One client's local training alone: returns its trained tensors, its
     upload and the number of steps it skipped."""
     batch = sorted(client.in_window(*window), key=lambda t: (t.departure, t.y))
@@ -681,7 +659,7 @@ def _reference_client_update(client, global_params, cfg, window, round_index, ho
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.local_epochs):
             for traj in batch:
-                loss, grads = base_loss_one(client.network, global_params.with_values(values), traj.route, traj.y, holidays)
+                loss, grads = base_loss_one(client.network, global_params.with_values(values), traj.route, traj.y)
                 if _reference_step_ok(loss, grads, cfg.base_lr):
                     values = {k: v - cfg.base_lr * grads[k] for k, v in values.items()}
                 else:
@@ -724,23 +702,21 @@ def _assert_same_bytes_params(a, b):
     world_name=st.sampled_from(sorted(_LOCKSTEP_WORLDS)),
     layers_hops=st.sampled_from([(1, 2), (2, 1), (2, 2)]),
     counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-    holiday=st.booleans(),
     diverge=st.booleans(),
     negative_zeros=st.booleans(),
     epsilon=st.sampled_from([math.inf, 10.0]),
     seed=st.integers(0, 3),
 )
 def test_lockstep_client_update_matches_per_client_reference(
-    world_name, layers_hops, counts, holiday, diverge, negative_zeros, epsilon, seed
+    world_name, layers_hops, counts, diverge, negative_zeros, epsilon, seed
 ):
     global_params, clients = _lockstep_setup(world_name, layers_hops, counts, diverge, negative_zeros, seed)
-    holidays = frozenset({_DAY0[0].date()}) if holiday else frozenset()
     cfg = FederatedConfig(local_epochs=2, base_lr=1e-6, dp_epsilon=epsilon, seed=seed)
-    expected = [_reference_client_update(c, global_params, cfg, _DAY0, 7, holidays) for c in clients]
+    expected = [_reference_client_update(c, global_params, cfg, _DAY0, 7) for c in clients]
     if diverge:
         assert expected[0][2] >= cfg.local_epochs
     before = nn.clone_params(global_params.values)
-    results = client_update(clients, global_params, cfg, _DAY0, 7, holidays)
+    results = client_update(clients, global_params, cfg, _DAY0, 7)
     assert [n_m for _, n_m in results] == [len(c.trajectories) for c in clients]
     for client, (upload, _), (values, expected_upload, _) in zip(clients, results, expected):
         _assert_same_bytes_params(client.localized_global.values, values)
@@ -817,7 +793,7 @@ def test_steps_on_the_written_columns_equal_steps_on_the_whole_buffer(seed):
             verdicts = []
             for stack, reuse in zip(stacks, (True, False)):
                 values = stack.head(active)
-                losses, g = model.base_loss(net, global_params, values, batch, frozenset(), grads.head(active) if reuse else None)
+                losses, g = model.base_loss(net, global_params, values, batch, grads.head(active) if reuse else None)
                 cols = g.cols if reuse else nn.ALL_COLUMNS
                 flat = {"flat": g.buffer}
                 ok = federated._steps_ok(losses, flat, lr, cols)
@@ -843,9 +819,9 @@ def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatc
         builds.append(len(routes))
         return build(network, model_cfg, routes)
 
-    def recording_loss(network, params, values, batch, holidays, grads, field_cache):
+    def recording_loss(network, params, values, batch, grads, field_cache):
         caches.append(field_cache)
-        return model.base_loss(network, params, values, batch, holidays, grads, field_cache)
+        return model.base_loss(network, params, values, batch, grads, field_cache)
 
     with monkeypatch.context() as m:
         m.setattr(model, "_receptive_field", counting_build)
@@ -868,7 +844,7 @@ def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatc
     reused_values = [c.localized_global.values for c in clients]
     global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, True, 0)
     with monkeypatch.context() as m:
-        m.setattr(federated, "base_loss", lambda network, params, values, batch, holidays, grads, _: model.base_loss(network, params, values, batch, holidays, grads))
+        m.setattr(federated, "base_loss", lambda network, params, values, batch, grads, _: model.base_loss(network, params, values, batch, grads))
         rebuilt = client_update(clients, global_params, cfg, _DAY0, 2)
     for (upload, _), (expected, _), client, values in zip(rebuilt, reused, clients, reused_values):
         _assert_same_bytes_params(upload, expected)

@@ -3,6 +3,7 @@ end-to-end experiment loop with its artifacts."""
 
 import json
 import math
+import re
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtte import data, federated, harness, model
+from fedtte import cli, data, federated, harness, model
 from fedtte.federated import FederatedConfig
 from fedtte.harness import (
     CONGESTION_BUCKETS,
@@ -210,11 +211,15 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.attack.seeds == 2
 
 
-def test_load_config_rejects_unknown_key(tmp_path):
+def test_load_config_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "exp.ini"
-    path.write_text("[world]\nnot_a_field = 3\n")
-    with pytest.raises(ValueError):
-        load_config(path)
+    for section, key in (("world", "not_a_field"), ("model", "holiday_dim")):
+        path.write_text(f"[{section}]\n{key} = 4\n")
+        message = f"[{section}] has no setting named {key!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+        assert cli.main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_config_rejects_unknown_section(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fedtte import data, graph, model, nn
 from fedtte.graph import Route
-from fedtte.model import ModelConfig, TimeContext, TrafficState
+from fedtte.model import ModelConfig, TrafficState
 
 from conftest import base_loss_one, make_edge, make_node, make_path_network, shared_base_loss, stack
 
@@ -104,29 +104,20 @@ def test_gcn_zero_theta_zero_output():
 
 # ---------------------------------------------------------------- temporal attention (_temporal_attention)
 
-def attention_of_table(table, ctx):
-    """The attention read at ctx from a K x I table T: the temporal projection
-    whose slot rows 7 .. 7+K are T, every other row and the bias zero, on a
-    C = 1 stack."""
+def attention_of_table(table, slot):
+    """The attention read at slot from a K x I table, on a C = 1 stack."""
     k, width = table.shape
-    cfg = ModelConfig(time_slots=k, head_width=width)
-    w = np.zeros((1, model.DAYS_PER_WEEK + k + cfg.holiday_dim, width))
-    w[0, model.DAYS_PER_WEEK : model.DAYS_PER_WEEK + k] = table
-    values = {"temporal.w": w, "temporal.b": np.zeros((1, width)), "temporal.holiday": np.ones((1, 2, cfg.holiday_dim))}
-    return model._temporal_attention(values, [ctx], cfg)[0][0]
+    return model._temporal_attention({"temporal.w": table[None]}, [slot], ModelConfig(time_slots=k, head_width=width))[0][0]
 
 
 def test_attention_constant_table_uniform():
-    table = np.full((4, 3), 1.7)
-    ctx = TimeContext(day_of_week=0, slot=2, is_holiday=False)
-    a = attention_of_table(table, ctx)
+    a = attention_of_table(np.full((4, 3), 1.7), 2)
     assert np.allclose(a, 0.25, atol=1e-15)
 
 
 def test_attention_log_weights_k2():
     table = np.array([[np.log(1.0)], [np.log(3.0)]])
-    ctx = TimeContext(day_of_week=0, slot=1, is_holiday=False)
-    a = attention_of_table(table, ctx)
+    a = attention_of_table(table, 1)
     assert np.allclose(a, [0.75], atol=1e-12)
 
 
@@ -136,21 +127,15 @@ def test_attention_components_in_open_unit_interval(seed):
     rng = np.random.default_rng(seed)
     k, i = int(rng.integers(2, 6)), int(rng.integers(1, 5))
     table = rng.normal(scale=3.0, size=(k, i))
-    ctx = TimeContext(day_of_week=0, slot=int(rng.integers(0, k)), is_holiday=False)
-    a = attention_of_table(table, ctx)
+    a = attention_of_table(table, int(rng.integers(0, k)))
     assert np.all(a > 0.0)
     assert np.all(a < 1.0)
 
 
 def test_attention_rejects_out_of_range_slot():
-    with pytest.raises(ValueError):
-        attention_of_table(np.zeros((4, 2)), TimeContext(day_of_week=0, slot=4, is_holiday=False))
-
-
-@pytest.mark.parametrize("day, slot", [(7, 3), (-1, 3), (0, -1)])
-def test_time_context_rejects_a_day_or_slot_no_time_has(day, slot):
-    with pytest.raises(ValueError):
-        TimeContext(day_of_week=day, slot=slot)
+    for slot in (-1, 4):
+        with pytest.raises(ValueError, match="K=4"):
+            attention_of_table(np.zeros((4, 2)), slot)
 
 
 # ---------------------------------------------------------------- traffic_state
@@ -159,8 +144,7 @@ def test_traffic_state_zero_heads_zero_output(tiny_world, tiny_cfg):
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=0)
     zero_all(params, ["head_e.w", "head_e.b", "head_v.w", "head_v.b"])
-    ctx = TimeContext(day_of_week=0, slot=0, is_holiday=False)
-    state = model.traffic_state(net, params, [ctx])[ctx]
+    state = model.traffic_state(net, params, [0])[0]
     assert np.array_equal(state.y_edges, np.zeros(net.n_edges))
     assert np.array_equal(state.y_nodes, np.zeros(net.n_nodes))
 
@@ -170,11 +154,10 @@ def test_traffic_state_uniform_attention_counts_components(tiny_world, tiny_cfg)
     assert tiny_cfg.head_width == tiny_cfg.time_slots == 4
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=0)
-    zero_all(params, ["head_e.w", "head_v.w", "temporal.w", "temporal.b", "temporal.holiday"])
+    zero_all(params, ["head_e.w", "head_v.w", "temporal.w"])
     params.values["head_e.b"] = np.ones(net.n_edges)
     params.values["head_v.b"] = np.ones(net.n_nodes)
-    ctx = TimeContext(day_of_week=3, slot=1, is_holiday=False)
-    state = model.traffic_state(net, params, [ctx])[ctx]
+    state = model.traffic_state(net, params, [1])[1]
     assert np.allclose(state.y_edges, 1.0, atol=1e-12)
     assert np.allclose(state.y_nodes, 1.0, atol=1e-12)
 
@@ -182,8 +165,7 @@ def test_traffic_state_uniform_attention_counts_components(tiny_world, tiny_cfg)
 def test_traffic_state_edge_permutation_equivariant(tiny_world, tiny_cfg):
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=5)
-    ctx = TimeContext(day_of_week=0, slot=2, is_holiday=False)
-    y1 = model.traffic_state(net, params, [ctx])[ctx].y_edges
+    y1 = model.traffic_state(net, params, [2])[2].y_edges
 
     perm = np.random.default_rng(0).permutation(net.n_edges)
     net2 = graph.build_network(net.nodes, [net.edges[p] for p in perm],
@@ -191,30 +173,8 @@ def test_traffic_state_edge_permutation_equivariant(tiny_world, tiny_cfg):
     params2 = params.clone()
     params2.values["embed_e.identity"] = params.values["embed_e.identity"][perm]
     params2.values["head_e.b"] = params.values["head_e.b"][perm]
-    y2 = model.traffic_state(net2, params2, [ctx])[ctx].y_edges
+    y2 = model.traffic_state(net2, params2, [2])[2].y_edges
     assert np.allclose(y2, y1[perm], atol=1e-9)
-
-
-def test_traffic_state_ctx_enters_only_through_attention(tiny_world, tiny_cfg):
-    # silence the day-of-week and holiday blocks of the temporal projection so
-    # two contexts at the same slot produce equal attention, hence equal states
-    net = tiny_world.network
-    params = model.init_base_params(net, tiny_cfg, seed=2)
-    k = tiny_cfg.time_slots
-    w = params.values["temporal.w"]
-    w[:7] = 0.0
-    w[7 + k :] = 0.0
-    ctx_a = TimeContext(day_of_week=0, slot=2, is_holiday=False)
-    ctx_b = TimeContext(day_of_week=5, slot=2, is_holiday=True)
-    values = stack([params.values])
-    assert np.array_equal(
-        model._temporal_attention(values, [ctx_a], tiny_cfg)[0],
-        model._temporal_attention(values, [ctx_b], tiny_cfg)[0],
-    )
-    sa = model.traffic_state(net, params, [ctx_a])[ctx_a]
-    sb = model.traffic_state(net, params, [ctx_b])[ctx_b]
-    assert np.array_equal(sa.y_edges, sb.y_edges)
-    assert np.array_equal(sa.y_nodes, sb.y_nodes)
 
 
 # ---------------------------------------------------------------- predict_route
@@ -285,12 +245,12 @@ def test_base_loss_perfect_prediction_zero_gradients(tiny_world, tiny_cfg):
     # target equal to the model output zeroes loss and gradients bit-exactly
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=3)
-    zero_all(params, ["head_e.w", "head_v.w", "temporal.w", "temporal.b", "temporal.holiday"])
+    zero_all(params, ["head_e.w", "head_v.w", "temporal.w"])
     params.values["head_e.b"] = np.full(net.n_edges, 2.0)
     params.values["head_v.b"] = np.full(net.n_nodes, 2.0)
     (route, _), = _world_batch(tiny_world, 1)
-    ctx = TimeContext.from_datetime(route.departure_time, tiny_cfg.time_slots)
-    y = model.predict_route(model.traffic_state(net, params, [ctx])[ctx], route)
+    slot = model.slot_of_time(route.departure_time, tiny_cfg.time_slots)
+    y = model.predict_route(model.traffic_state(net, params, [slot])[slot], route)
     loss, grads = base_loss_one(net, params, route, y)
     assert loss == 0.0
     for name, g in grads.items():
@@ -302,9 +262,9 @@ def test_base_loss_near_zero_at_served_targets(tiny_world, tiny_cfg):
     # associate the same sums differently; residuals stay at float epsilon
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=3)
-    ctx_of = lambda r: TimeContext.from_datetime(r.departure_time, tiny_cfg.time_slots)
+    slot_of = lambda r: model.slot_of_time(r.departure_time, tiny_cfg.time_slots)
     batch = [
-        (r, model.predict_route(model.traffic_state(net, params, [ctx_of(r)])[ctx_of(r)], r))
+        (r, model.predict_route(model.traffic_state(net, params, [slot_of(r)])[slot_of(r)], r))
         for r, _ in _world_batch(tiny_world, 2)
     ]
     losses, grads = model.base_loss(net, params, stack([params.values] * len(batch)), batch)
@@ -343,7 +303,7 @@ def test_base_loss_finite_difference(tiny_world, tiny_cfg):
 # base_loss runs on the batch's receptive field; these tests certify it against
 # the same base_loss with the field forced to the whole graph.
 
-_GRID_CFG = ModelConfig(embed_dim=4, head_width=4, time_slots=8, holiday_dim=2, output_scale=10.0)
+_GRID_CFG = ModelConfig(embed_dim=4, head_width=4, time_slots=8, output_scale=10.0)
 # (gcn_layers, hops) pairs whose radius gcn_layers * hops is 2, 3 or 4: on the
 # 10x10 grid most of their fields are still strict subsets of the graph
 _FIELD_CFGS = [replace(_GRID_CFG, gcn_layers=layers, hops=hops) for layers, hops in ((1, 2), (2, 1), (1, 3), (2, 2))]
@@ -359,10 +319,10 @@ GRID_10 = _grid_world(10, 10)
 GRID_10_ROUTES = [t.route for t in data.sample_trajectories(GRID_10, 0)]
 
 
-def _whole_graph_loss(net, params, values, batch, holidays=frozenset()):
+def _whole_graph_loss(net, params, values, batch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_receptive_field", lambda network, cfg, routes: model._whole_graph(network))
-        return model.base_loss(net, params, values, batch, holidays)
+        return model.base_loss(net, params, values, batch)
 
 
 @st.composite
@@ -383,16 +343,15 @@ def _batches(draw):
 
 @pytest.mark.parametrize("cfg", _FIELD_CFGS, ids=lambda c: f"layers{c.gcn_layers}-hops{c.hops}")
 @settings(max_examples=30, deadline=None)
-@given(batch=_batches(), seed=st.integers(0, 3), holiday=st.booleans())
-def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed, holiday):
+@given(batch=_batches(), seed=st.integers(0, 3))
+def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed):
     # one route per client, each client with its own model: the step's field is
     # the union of the routes' fields
     net = GRID_10.network
     params = model.init_base_params(net, cfg, seed)
     values = stack([model.init_base_params(net, cfg, seed + c).values for c in range(len(batch))])
-    holidays = frozenset({MIDNIGHT.date()}) if holiday else frozenset()
-    loss, grads = model.base_loss(net, params, values, batch, holidays)
-    whole_loss, whole_grads = _whole_graph_loss(net, params, values, batch, holidays)
+    loss, grads = model.base_loss(net, params, values, batch)
+    whole_loss, whole_grads = _whole_graph_loss(net, params, values, batch)
     assert loss.tobytes() == whole_loss.tobytes()
     assert sorted(grads) == sorted(whole_grads)
     for name in grads:
@@ -551,8 +510,8 @@ def test_stacked_shared_base_loss_on_strict_fields_finite_difference(tiny_cfg):
     routes = [route_of([("e", e), ("v", e + 1), ("e", e + 1)], departure=MIDNIGHT.replace(hour=8)) for e in (0, 10, 20)]
     assert not any(f.whole for f in model._receptive_field(net, cfg, routes))
     base = model.init_base_params(net, cfg, seed=4)
-    ctx = TimeContext.from_datetime(routes[0].departure_time, cfg.time_slots)
-    state = model.traffic_state(net, base, [ctx])[ctx]
+    slot = model.slot_of_time(routes[0].departure_time, cfg.time_slots)
+    state = model.traffic_state(net, base, [slot])[slot]
     batch = [(route, model.predict_route(state, route) + 1.0) for route in routes]
     assert nn.check_gradients(shared_base_loss(net, base, batch), base.values, None, eps=1e-5) < 1e-4
 
@@ -611,11 +570,11 @@ def test_base_loss_on_a_two_layer_field_finite_difference(tiny_cfg):
     field_e, field_v = model._receptive_field(net, cfg, [route])
     assert not field_e.whole and not field_v.whole
     base = model.init_base_params(net, cfg, seed=8)
-    ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots)
+    slot = model.slot_of_time(route.departure_time, cfg.time_slots)
     # The rows two layers away get gradients near 1e-7, whose central
     # differences are dominated by the loss curvature unless the error is small,
     # so the target sits one second off the prediction.
-    batch = [(route, model.predict_route(model.traffic_state(net, base, [ctx])[ctx], route) + 1.0)]
+    batch = [(route, model.predict_route(model.traffic_state(net, base, [slot])[slot], route) + 1.0)]
     fn = shared_base_loss(net, base, batch)
     assert nn.check_gradients(fn, base.values, None, eps=1e-4) < 1e-4
 
@@ -634,9 +593,9 @@ def test_stacked_base_loss_on_strict_fields_finite_difference(tiny_cfg):
     values = stack([model.init_base_params(net, cfg, seed=s).values for s in (4, 5, 6)])
     batch = []
     for c, route in enumerate(routes):
-        ctx = TimeContext.from_datetime(route.departure_time, cfg.time_slots)
+        slot = model.slot_of_time(route.departure_time, cfg.time_slots)
         client = base.with_values({k: v[c] for k, v in values.items()})
-        batch.append((route, model.predict_route(model.traffic_state(net, client, [ctx])[ctx], route) + 1.0))
+        batch.append((route, model.predict_route(model.traffic_state(net, client, [slot])[slot], route) + 1.0))
 
     def summed(values, _):
         # client c's loss reads only slice c, so the sum's gradient there is its own
@@ -832,16 +791,5 @@ def test_model_config_validation():
 def test_slot_of_time_half_hour_buckets():
     assert model.slot_of_time(datetime(2024, 1, 1, 0, 29), 48) == 0
     assert model.slot_of_time(datetime(2024, 1, 1, 0, 30), 48) == 1
+    assert model.slot_of_time(datetime(2024, 1, 1, 8, 0), 48) == 16
     assert model.slot_of_time(datetime(2024, 1, 1, 23, 59), 48) == 47
-
-
-def test_time_context_from_datetime():
-    # 2024-01-01 is a Monday
-    ctx = TimeContext.from_datetime(datetime(2024, 1, 1, 8, 0), 48)
-    assert ctx.day_of_week == 0
-    assert ctx.slot == 16
-    assert not ctx.is_holiday
-    from datetime import date
-
-    hol = TimeContext.from_datetime(datetime(2024, 1, 1, 8, 0), 48, frozenset({date(2024, 1, 1)}))
-    assert hol.is_holiday

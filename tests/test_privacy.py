@@ -149,6 +149,15 @@ def test_noise_is_one_draw_equal_to_a_draw_per_tensor():
         assert out[name].shape == params[name].shape and out[name].tobytes() == expected.tobytes(), name
 
 
+def test_an_upload_noises_2980_coordinates_on_the_default_world():
+    # P in the per-upload cost P * epsilon that README and the privacy module state
+    world = data.generate_world(data.WorldSpec())
+    values = model.init_base_params(world.network, model.ModelConfig(), seed=0).values
+    noised = privacy.noise_params(values, DpConfig(epsilon=10.0), rng=nn.spawn_rng(0, "dp"))
+    assert sum(v.size for v in values.values()) == 2_980
+    assert sum(np.count_nonzero(noised[k] != v) for k, v in values.items()) == 2_980
+
+
 def test_dp_config_validation():
     with pytest.raises(ValueError):
         DpConfig(epsilon=0.0)
@@ -345,7 +354,7 @@ def _late_world():
 
 
 @pytest.mark.parametrize(
-    "case", ["skipped instants", "start values", "schedule and holidays", "one round", "reordered", "repeated"]
+    "case", ["skipped instants", "start values", "schedule", "one round", "reordered", "repeated"]
 )
 def test_each_epsilon_of_a_sweep_equals_that_epsilon_alone(tiny_world, case):
     model_cfg = model.ModelConfig(time_slots=4)
@@ -355,9 +364,8 @@ def test_each_epsilon_of_a_sweep_equals_that_epsilon_alone(tiny_world, case):
         world, seeds = _late_world(), [5, 6]
     elif case == "start values":
         kwargs["start_values"] = model.init_base_params(world.network, model_cfg, seed=99).values
-    elif case == "schedule and holidays":
+    elif case == "schedule":
         kwargs["schedule"] = federated.AggregationSchedule(bands=((0.0, 12.0, 6.0), (12.0, 0.0, 4.0)))
-        kwargs["holidays"] = frozenset({data.EPOCH_DATE})
     elif case == "one round":
         kwargs["rounds"] = 1
     elif case == "reordered":

@@ -133,16 +133,20 @@ def _cmd_attack(args) -> int:
 
 def _cmd_export_state(args) -> int:
     cfg = _effective_config(args)
+    try:
+        hh, mm = (int(part) for part in args.time.split(":"))
+        clock = time(hh, mm)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"--time must be HH:MM, got {args.time!r}") from exc
+    try:
+        date = EPOCH_DATE + timedelta(days=args.day)
+    except OverflowError as exc:
+        raise ValueError(f"--day {args.day} is outside the calendar") from exc
     world, values, source = _load_checkpoint_values(cfg, args.checkpoint)
     if values is None:
         raise ValueError("export-state needs --checkpoint or an --out directory holding checkpoints/global_final.bin")
     params = init_base_params(world.network, cfg.model, cfg.federated.seed).with_values(values)
-    try:
-        hh, mm = (int(part) for part in args.time.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"--time must be HH:MM, got {args.time!r}") from exc
-    dt = datetime.combine(EPOCH_DATE + timedelta(days=args.day), time(hh, mm))
-    slot = slot_of_time(dt, cfg.model.time_slots)
+    slot = slot_of_time(datetime.combine(date, clock), cfg.model.time_slots)
     state = traffic_state(world.network, params, [slot])[slot]
     if args.csv is not None:
         dest = Path(args.csv)

@@ -19,10 +19,8 @@ order, refreshes the served traffic state at the instant's slot, and records
 the round. Travel-time queries arriving before the next instant are answered
 from that state. train_round is the training half of a round (selection,
 local updates, aggregation) and run_round adds the state and the record;
-the privacy module's attack runs train_round, and for a sweep's shared
-first round the same selection (ServerState.choose), local update, noising
-(FederatedConfig.dp_upload) and aggregation (ServerState.advance), so it
-reads the uploads that training makes.
+the privacy module's attack runs train_round, a sweep's shared first round
+included, so it reads the uploads that training makes.
 
 The day is partitioned into bands with per-band aggregation intervals; the
 default schedule densifies during the rush bands (16 instants per day).
@@ -94,6 +92,8 @@ class FederatedConfig:
             raise ValueError("dp_epsilon must be > 0 (math.inf disables noise)")
         if not (0 < self.dp_clip < math.inf):
             raise ValueError("dp_clip must be finite and > 0")
+        if self.dp_epsilon < math.inf and not math.isfinite(2.0 * self.dp_clip / self.dp_epsilon):
+            raise ValueError(f"dp_epsilon {self.dp_epsilon!r} is too small: the noise scale 2 * dp_clip / dp_epsilon overflows")
 
     def dp_upload(self, localized: nn.ParamSet, client_id: str, round_index: int) -> nn.ParamSet:
         """What a client uploads of its localized model in a round: the model
@@ -173,11 +173,6 @@ class AggregationSchedule:
         """Sorted aggregation times-of-day in hours."""
         return list(self._band_of)
 
-    def band_label(self, hour: float) -> str:
-        if (label := self._band_of.get(round(hour % 24, 9))) is None:
-            raise ValueError(f"{hour} is not an aggregation instant of this schedule")
-        return label
-
 
 def _fmt_hour(h: float) -> str:
     """HH:MM of a time of day in hours, from its rounded whole seconds, and
@@ -202,12 +197,14 @@ def default_schedule() -> AggregationSchedule:
 
 @dataclass(frozen=True)
 class Instant:
-    """One aggregation instant and its elapsed training window [start, end)."""
+    """One aggregation instant, its elapsed training window [start, end)
+    and the label of its schedule band."""
 
     day: int
     hour: float
     start: datetime
     end: datetime
+    band: str
 
     @property
     def label(self) -> str:
@@ -219,9 +216,9 @@ def day_instants(schedule: AggregationSchedule, day: int, prev_end: datetime | N
     day_start = datetime.combine(EPOCH_DATE + timedelta(days=day), time())
     prev = prev_end if prev_end is not None else day_start
     out = []
-    for hour in schedule.instants():
+    for hour, band in schedule._band_of.items():
         end = day_start + timedelta(hours=hour)
-        out.append(Instant(day=day, hour=hour, start=prev, end=end))
+        out.append(Instant(day=day, hour=hour, start=prev, end=end, band=band))
         prev = end
     return out
 
@@ -261,23 +258,10 @@ class RoundRecord:
 @dataclass
 class ServerState:
     network: RoadNetwork
-    model_cfg: ModelConfig
     global_params: BaseModelParams
     schedule: AggregationSchedule
     round_index: int = 0
     latest_state: TrafficState | None = None
-
-    def choose(self, pool: list[ClientState], window: tuple[datetime, datetime], config: FederatedConfig) -> list[ClientState]:
-        """The clients the round at round_index trains: a uniform subset of
-        those with a trajectory in the window, drawn with the round's
-        selection key, in client-id order; none when no client has one."""
-        eligible = [c for c in pool if c.in_window(*window)]
-        if not eligible:
-            return []
-        m = min(config.clients_per_round, len(eligible))
-        chosen = select_clients(eligible, m, nn.spawn_rng(config.seed, "select", self.round_index))
-        by_id = {c.client_id: c for c in eligible}
-        return [by_id[cid] for cid in chosen]
 
     def advance(self, uploads: list[tuple[ClientState, int, nn.ParamSet]]) -> None:
         """Fold a round's (client, n_m, upload) triples, if any, into the
@@ -295,7 +279,6 @@ def init_server(
 ) -> ServerState:
     return ServerState(
         network=network,
-        model_cfg=model_cfg,
         global_params=init_base_params(network, model_cfg, fed_cfg.seed),
         schedule=schedule if schedule is not None else default_schedule(),
     )
@@ -478,14 +461,19 @@ def train_round(
 ) -> list[tuple[ClientState, int, nn.ParamSet]]:
     """Select, train and aggregate the clients eligible in the window.
 
-    Returns (client, n_m, upload) per chosen client in client-id order and
-    folds the uploads into server.global_params. No eligible client returns
-    an empty list and leaves the global model untouched. server.round_index
-    advances either way, so selection and noise keys follow the schedule.
+    The chosen clients are a uniform subset of those with a trajectory in the
+    window, drawn with the round's selection key. Returns (client, n_m,
+    upload) per chosen client in client-id order and folds the uploads into
+    server.global_params. No eligible client returns an empty list and
+    leaves the global model untouched. server.round_index advances either
+    way, so selection and noise keys follow the schedule.
     """
-    clients = server.choose(pool, window, config)
+    eligible = [c for c in pool if c.in_window(*window)]
     uploads: list[tuple[ClientState, int, nn.ParamSet]] = []
-    if clients:
+    if eligible:
+        chosen = select_clients(eligible, min(config.clients_per_round, len(eligible)), nn.spawn_rng(config.seed, "select", server.round_index))
+        by_id = {c.client_id: c for c in eligible}
+        clients = [by_id[cid] for cid in chosen]
         results = client_update(clients, server.global_params, config, window, server.round_index)
         uploads = [(client, n_m, upload) for client, (upload, n_m) in zip(clients, results)]
     server.advance(uploads)
@@ -504,14 +492,13 @@ def run_round(
     Zero eligible clients skips the round (recorded, global untouched).
     """
     window = (instant.start, instant.end)
-    slot = slot_of_time(instant.end, server.model_cfg.time_slots)
-    band = server.schedule.band_label(instant.hour)
+    slot = slot_of_time(instant.end, server.global_params.cfg.time_slots)
     round_index = server.round_index
     uploads = train_round(server, pool, window, config)
     errors = []
     if uploads:
         trained = [traj for client, _, _ in uploads for traj in client.in_window(*window)]
-        slots = [slot_of_time(traj.departure, server.model_cfg.time_slots) for traj in trained]
+        slots = [slot_of_time(traj.departure, server.global_params.cfg.time_slots) for traj in trained]
         states = traffic_state(server.network, server.global_params, [slot, *slots])
         server.latest_state = states[slot]
         errors = [abs(predict_route(states[s], traj.route) - traj.y) for traj, s in zip(trained, slots)]
@@ -519,7 +506,7 @@ def run_round(
         round_index=round_index,
         day=instant.day,
         time_label=instant.label,
-        band=band,
+        band=instant.band,
         slot=slot,
         selected=tuple(client.client_id for client, _, _ in uploads),
         clients=tuple((client.client_id, n_m, nn.params_digest(upload)) for client, n_m, upload in uploads),

@@ -55,7 +55,6 @@ from .model import (
     fit_dense_stats,
     init_personal_params,
     personal_bias,
-    predict_final,
     predict_route,
     slot_of_time,
     traffic_state,
@@ -360,7 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         bias = personal_bias(client.profile, client.personal)
         for (traj, slot), y_hat in zip(group, y_hats):
             y_init = predict_route(init_states[slot], traj.route)
-            y_final = predict_final(y_hat, bias)
+            y_final = y_hat + bias
             rows.append((traj.driver_id, traj.y, y_init, y_hat, y_final))
             pred_rows.append(
                 {

@@ -844,11 +844,6 @@ def personal_bias(profile: DriverProfile, params: PersonalModelParams) -> float:
     return float(forward()[0])
 
 
-def predict_final(y_hat: float, bias: float) -> float:
-    """Personalized prediction: base estimate plus the driver bias."""
-    return y_hat + bias
-
-
 def personal_loss(ws: PersonalWorkingSet, batch) -> tuple[np.ndarray, np.ndarray]:
     """Per-client personal losses (C,) and gradients (C, P) laid out as ws.values.
 

@@ -24,8 +24,9 @@ top-k edges by score, ties broken by ascending edge index, form the revealed
 set. Risk is the exactly-counted fraction of the client's truly traveled
 edges that the attack recovers. risk_eval runs the federated module's
 training round step and attacks the uploads it returns, so the risk is
-measured on the uploads training makes. risk_sweep trains each seed's first
-round once for all its epsilons (FirstRound).
+measured on the uploads training makes. risk_sweep runs each seed's first
+trained round once, with the same round step, for all its epsilons
+(FirstRound).
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class DpConfig:
             raise ValueError("epsilon must be > 0 (math.inf disables noising)")
         if not (self.clip_bound > 0):
             raise ValueError("clip_bound must be > 0")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"the noise scale 2 * clip_bound / epsilon is {self.scale}, not finite")
 
     @property
     def scale(self) -> float:
@@ -69,30 +72,26 @@ class FirstRound:
 
     Until the first noised upload those simulations are identical: the same
     initialization, skipped instants, selection key, delivered model and
-    local steps. server is the server at that round before it trains (its
-    round_index is the round's), instants are the day's instants from the
-    round's on (none when the day trains nothing), chosen holds the round's
-    (client id, n_m) in client-id order and localized the clients' trained,
-    un-noised models. uploads are those models noised at epsilon, as
-    federated.client_update returned them.
+    local steps. server is a copy of the server at that round before it
+    trained (its round_index is the round's), instants are the day's
+    instants from the round's on (none when the day trains nothing), and
+    trained is what federated.train_round returned for the round at
+    epsilon: (client, n_m, upload) per chosen client in client-id order,
+    each client holding its trained, un-noised localized model.
     """
 
     server: ServerState
     instants: list[Instant]
-    chosen: list[tuple[str, int]]
-    localized: list[nn.ParamSet]
     epsilon: float
-    uploads: list[nn.ParamSet]
+    trained: list[tuple[ClientState, int, nn.ParamSet]]
 
-    def uploads_at(self, cfg: FederatedConfig, pool: list[ClientState]) -> list[tuple[ClientState, int, nn.ParamSet]]:
-        """The round's (client, n_m, upload) triples under cfg, for the
-        clients of pool: at another epsilon, the same localized models
-        noised with the same (seed, "dp", client, round) streams."""
-        uploads = self.uploads
-        if cfg.dp_epsilon != self.epsilon:
-            uploads = [cfg.dp_upload(values, cid, self.server.round_index) for (cid, _), values in zip(self.chosen, self.localized)]
-        by_id = {c.client_id: c for c in pool}
-        return [(by_id[cid], n_m, upload) for (cid, n_m), upload in zip(self.chosen, uploads)]
+    def uploads_at(self, cfg: FederatedConfig) -> list[tuple[ClientState, int, nn.ParamSet]]:
+        """The round's (client, n_m, upload) triples under cfg: at another
+        epsilon, the same localized models noised with the same (seed, "dp",
+        client, round) streams."""
+        if cfg.dp_epsilon == self.epsilon:
+            return self.trained
+        return [(c, n_m, cfg.dp_upload(c.localized_global.values, c.client_id, self.server.round_index)) for c, n_m, _ in self.trained]
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,8 @@ def risk_eval(
     first_round, when given, is this seed's simulation through its first
     trained round, built by risk_sweep from the same arguments at one of its
     epsilons. The simulation then starts from a copy of its server, at that
-    round, and uploads its localized models noised at this epsilon instead
-    of training them again; the reports are the same as without it.
+    round, and uploads its clients' localized models noised at this epsilon
+    instead of training them again; the reports are the same as without it.
     """
     from . import federated as fed  # runtime import: federated depends on this module
 
@@ -239,7 +238,7 @@ def risk_eval(
         window = (instant.start, instant.end)
         global_prev = server.global_params.values  # a round replaces it, never writes into it
         if first_round is not None and done == 0:
-            uploads = first_round.uploads_at(cfg, pool)
+            uploads = first_round.uploads_at(cfg)
             server.advance(uploads)
         else:
             uploads = fed.train_round(server, pool, window, cfg)
@@ -266,8 +265,8 @@ def _start_server(world, model_cfg, cfg, schedule, start_values):
 
 
 def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, schedule, records) -> FirstRound:
-    """Walk one seed's day to its first trained round and train that round's
-    clients once, their uploads noised at epsilon."""
+    """Run one seed's day at epsilon with federated.train_round up to its
+    first trained round, and keep that round with the server from before it."""
     from . import federated as fed
 
     cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
@@ -275,15 +274,11 @@ def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, s
     pool = fed.clients_from_records(world, records)
     instants = fed.day_instants(server.schedule, day=0)
     for i, instant in enumerate(instants):
-        window = (instant.start, instant.end)
-        clients = server.choose(pool, window, cfg)
-        if clients:
-            results = fed.client_update(clients, server.global_params, cfg, window, server.round_index)
-            chosen = [(client.client_id, n_m) for client, (_, n_m) in zip(clients, results)]
-            localized = [client.localized_global.values for client in clients]
-            return FirstRound(server, instants[i:], chosen, localized, epsilon, [upload for upload, _ in results])
-        server.advance([])
-    return FirstRound(server, [], [], [], epsilon, [])
+        before = replace(server)  # train_round replaces global_params, never writes into them
+        trained = fed.train_round(server, pool, (instant.start, instant.end), cfg)
+        if trained:
+            return FirstRound(before, instants[i:], epsilon, trained)
+    return FirstRound(server, [], epsilon, [])
 
 
 def risk_sweep(
@@ -306,9 +301,10 @@ def risk_sweep(
     risk_eval call. A seed's simulations differ only from their first
     noised upload on, so its first trained round is trained once, at the
     first epsilon, and shared with all of them (FirstRound). seeds and
-    epsilons are each read once.
+    epsilons are each read once, and an epsilon fed_config rejects fails
+    before any simulation runs.
     """
-    epsilons = list(epsilons)
+    epsilons = [replace(fed_config, dp_epsilon=eps).dp_epsilon for eps in epsilons]  # each checked by FederatedConfig
     records = datamod.sample_trajectories(world, 0)
     blocks: list[list[dict]] = [[] for _ in epsilons]  # per epsilon, its rows in seed order
     risks: list[list[float]] = [[] for _ in epsilons]

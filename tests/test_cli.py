@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtte import cli, nn
 from fedtte.data import generate_world
@@ -277,3 +279,58 @@ def test_attack_reads_the_uploads_training_makes_under_the_configured_schedule(t
     assert cli.main(["attack", "--config", str(path), "--epsilon", "1"]) == 0
     assert attacked == trained
     assert bool(trained) == (bands != "0-0:24")
+
+
+def test_train_rejects_an_epsilon_whose_noise_scale_overflows(tmp_path, config_file, capsys):
+    # 2 * dp_clip / 1e-320 is inf: noise of that scale would make every metric NaN
+    assert cli.main(["train", "--config", str(config_file), "--out", str(tmp_path / "run"), "--epsilon", "1e-320"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dp_epsilon 1e-320" in err and "overflows" in err
+    assert not (tmp_path / "run" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("lines", [["dp_epsilon = 1e-300", "dp_clip = 1e10"], ["dp_clip = 1e10", "dp_epsilon = 1e-300"]])
+def test_a_config_whose_noise_scale_overflows_exits_1_naming_dp_epsilon(tmp_path, capsys, lines):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("[federated]\n", "[federated]\n" + "\n".join(lines) + "\n"))
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [federated] dp_") and "dp_epsilon 1e-300 is too small" in err
+
+
+def test_attack_rejects_an_overflowing_epsilon_before_any_simulation(tmp_path, monkeypatch, capsys):
+    from fedtte import federated
+
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("epsilons = inf, 0.1", "epsilons = inf, 0.1, 1e-320"))
+    calls = []
+    monkeypatch.setattr(federated, "client_update", lambda *args, **kwargs: calls.append(args))
+    assert cli.main(["attack", "--config", str(path), "--out", str(tmp_path / "atk")]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dp_epsilon 1e-320" in err
+    assert not (tmp_path / "atk" / "risk.csv").exists()
+
+
+def test_export_state_day_outside_the_calendar_exits_1_naming_day(tmp_path, config_file, capsys):
+    assert cli.main(["train", "--config", str(config_file), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert cli.main(["export-state", "--config", str(config_file), "--out", str(tmp_path / "run"), "--day", "999999999"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --day 999999999")
+
+
+def test_export_state_exits_0_or_1_for_any_day_and_time(tmp_path, config_file, capsys):
+    cfg = load_config(config_file)
+    checkpoint = tmp_path / "init.bin"
+    nn.save_params(init_base_params(generate_world(cfg.world).network, cfg.model, cfg.federated.seed).values, checkpoint)
+    clock = st.one_of(st.text(max_size=8), st.builds("{}:{}".format, st.integers(-30, 30), st.integers(-70, 70)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(day=st.integers(-10**9, 10**9), time_text=clock)
+    def run(day, time_text):
+        argv = ["export-state", "--config", str(config_file), "--checkpoint", str(checkpoint), "--csv", str(tmp_path / "state.csv")]
+        assert cli.main([*argv, f"--day={day}", f"--time={time_text}"]) in (0, 1)
+        capsys.readouterr()
+
+    run()

@@ -84,9 +84,9 @@ def test_day_instants_chain_windows():
 
 
 def test_band_label():
-    sched = default_schedule()
-    assert sched.band_label(7.5) == "07:00-09:00"
-    assert sched.band_label(3.0) == "23:00-07:00"
+    band_at = {instant.hour: instant.band for instant in day_instants(default_schedule(), 0)}
+    assert band_at[7.5] == "07:00-09:00"
+    assert band_at[3.0] == "23:00-07:00"
 
 
 def test_time_labels_of_a_sub_minute_schedule_are_distinct():
@@ -98,8 +98,8 @@ def test_time_labels_of_a_sub_minute_schedule_are_distinct():
     assert labels[:3] == ["00:00", "00:00:30", "00:01"] and labels[959] == "07:59:30"
     # whole minutes keep their HH:MM labels
     assert [i.label for i in day_instants(default_schedule(), 0)][:3] == ["03:00", "07:00", "07:30"]
-    assert AggregationSchedule(bands=((7.5, 7.5, 24.0),)).band_label(7.5) == "07:30-07:30"
-    assert AggregationSchedule(bands=((0.0, 24.0, 1 / 3600),)).band_label(23 + 3599 / 3600) == "00:00-00:00"
+    assert day_instants(AggregationSchedule(bands=((7.5, 7.5, 24.0),)), 0)[0].band == "07:30-07:30"
+    assert day_instants(AggregationSchedule(bands=((0.0, 24.0, 1 / 3600),)), 0)[-1].band == "00:00-00:00"
 
 
 def test_schedule_band_of_every_instant_matches_a_walk_over_the_bands():
@@ -110,9 +110,7 @@ def test_schedule_band_of_every_instant_matches_a_walk_over_the_bands():
         for i in range(int(round(length / delta))):
             walked.setdefault(round((start + i * delta) % 24, 9), federated._fmt_hour(start) + "-" + federated._fmt_hour(end))
     assert sched.instants() == sorted(walked)
-    assert [sched.band_label(h) for h in sched.instants()] == [walked[h] for h in sorted(walked)]
-    with pytest.raises(ValueError):
-        sched.band_label(6.5 + 1 / 7200)
+    assert [instant.band for instant in day_instants(sched, 0)] == [walked[h] for h in sorted(walked)]
 
 
 # ---------------------------------------------------------------- config

@@ -1,6 +1,7 @@
 """Harness tests: metrics, congestion export, config parsing, and the
 end-to-end experiment loop with its artifacts."""
 
+import csv
 import json
 import math
 import re
@@ -391,6 +392,17 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert len(preds) == len(result.predictions) + 1
     metrics = json.loads((out / "metrics.json").read_text())
     assert set(metrics) == {"baseline", "global", "personalized"}
+
+
+def test_run_experiment_personalized_prediction_is_base_plus_client_bias(tmp_path):
+    out = tmp_path / "run"
+    result = run_experiment(_fast_config(out))
+    bias = {c.client_id: model.personal_bias(c.profile, c.personal) for c in result.clients}
+    with open(out / "predictions.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["client_id"] for row in rows} <= set(bias)
+    for row in rows:
+        assert float(row["y_final_s"]) == float(row["y_hat_s"]) + bias[row["client_id"]]
 
 
 def test_run_experiment_byte_identical_reruns(tmp_path):

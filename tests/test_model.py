@@ -662,11 +662,6 @@ def test_personal_bias_constant_head(tiny_cfg):
         assert model.personal_bias(_profile(regions=regions), params) == 7.0
 
 
-def test_predict_final():
-    assert model.predict_final(120.0, 0.0) == 120.0
-    assert model.predict_final(100.0, -10.0) == 90.0
-
-
 def test_personal_loss_optimal_constant_bias(tiny_cfg):
     # residuals constantly +12: a bias of exactly 12 zeroes the loss and any
     # neighbor does strictly worse

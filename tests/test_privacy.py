@@ -168,6 +168,15 @@ def test_dp_config_validation():
     assert DpConfig(epsilon=math.inf).scale == 0.0
 
 
+@pytest.mark.parametrize("epsilon, clip", [(1e-320, 1.0), (1e-300, 1e10), (1.0, math.inf)])
+def test_dp_config_rejects_a_noise_scale_that_overflows(epsilon, clip):
+    with pytest.raises(ValueError, match="not finite"):
+        DpConfig(epsilon=epsilon, clip_bound=clip)
+    with pytest.raises(ValueError, match="overflows" if clip < math.inf else "dp_clip"):
+        federated.FederatedConfig(dp_epsilon=epsilon, dp_clip=clip)
+    assert DpConfig(epsilon=math.inf, clip_bound=clip).scale == 0.0
+
+
 # ---------------------------------------------------------------- difference_attack
 
 def _edge_tables(n_edges, dim=4, seed=0):

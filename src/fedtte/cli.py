@@ -25,7 +25,7 @@ import numpy as np
 from . import harness, nn, privacy
 from .data import EPOCH_DATE, generate_world
 from .harness import PREDICTION_FIELDS, ExperimentConfig, load_config
-from .model import init_base_params, slot_of_time, traffic_state
+from .model import BaseModelParams, init_base_params, slot_of_time, traffic_state
 
 
 def _effective_config(args) -> ExperimentConfig:
@@ -145,9 +145,8 @@ def _cmd_export_state(args) -> int:
     world, values, source = _load_checkpoint_values(cfg, args.checkpoint)
     if values is None:
         raise ValueError("export-state needs --checkpoint or an --out directory holding checkpoints/global_final.bin")
-    params = init_base_params(world.network, cfg.model, cfg.federated.seed).with_values(values)
     slot = slot_of_time(datetime.combine(date, clock), cfg.model.time_slots)
-    state = traffic_state(world.network, params, [slot])[slot]
+    state = traffic_state(world.network, BaseModelParams(cfg.model, values), [slot])[slot]
     if args.csv is not None:
         dest = Path(args.csv)
     elif cfg.out_dir is not None:

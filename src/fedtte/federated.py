@@ -429,7 +429,7 @@ def _lockstep_sgd(network, global_params, batches, config) -> list[nn.ParamSet]:
         for _ in range(config.local_epochs):
             for step in steps:
                 active = len(step)
-                losses, step_grads = base_loss(network, global_params, values.head(active), step, grads.head(active), field_cache)
+                losses, step_grads = base_loss(network, global_params.cfg, values.head(active), step, grads.head(active), field_cache)
                 cols, flat = step_grads.cols, {"flat": step_grads.buffer}
                 nn.sgd_step({"flat": values.buffer[:active]}, flat, lr, _steps_ok(losses, flat, lr, cols), cols)
     slot_of = {i: slot for slot, i in enumerate(order)}
@@ -489,7 +489,10 @@ def run_round(
     """One aggregation round at the given instant: train_round, then the
     served-state refresh and the round record.
 
-    Zero eligible clients skips the round (recorded, global untouched).
+    Zero eligible clients skips the round (recorded, global untouched). A
+    served state that is not finite (an aggregate noised at a huge scale
+    overflows the forward pass) is a ValueError naming the round and the
+    noise scale.
     """
     window = (instant.start, instant.end)
     slot = slot_of_time(instant.end, server.global_params.cfg.time_slots)
@@ -499,7 +502,13 @@ def run_round(
     if uploads:
         trained = [traj for client, _, _ in uploads for traj in client.in_window(*window)]
         slots = [slot_of_time(traj.departure, server.global_params.cfg.time_slots) for traj in trained]
-        states = traffic_state(server.network, server.global_params, [slot, *slots])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            states = traffic_state(server.network, server.global_params, [slot, *slots])
+        if not all(np.isfinite(state.y_edges).all() and np.isfinite(state.y_nodes).all() for state in states.values()):
+            raise ValueError(
+                f"round {round_index} (day {instant.day} {instant.label}): the served traffic state is not finite; dp_epsilon "
+                f"{config.dp_epsilon!r} noises uploads at scale {2.0 * config.dp_clip / config.dp_epsilon!r} (2 * dp_clip / dp_epsilon)"
+            )
         server.latest_state = states[slot]
         errors = [abs(predict_route(states[s], traj.route) - traj.y) for traj, s in zip(trained, slots)]
     record = RoundRecord(

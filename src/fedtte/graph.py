@@ -1,13 +1,15 @@
 """Road-network representation and the spectral structures the GCN consumes.
 
 A road network is a directed graph of intersections (nodes) and segments
-(edges) carrying static categorical and numeric features. Two adjacency
-structures are maintained: node-wise (intersections joined by a segment) and
+(edges) carrying static categorical and numeric features. The GCN reads two
+normalized Laplacians: node-wise (intersections joined by a segment) and
 edge-wise (the line graph: segments adjacent iff they share an endpoint).
-Both come from the node-edge incidence matrix B (1.0 at both ends of each
-segment), as B B^T and B^T B with the diagonal dropped and every link set to
-1.0: symmetric, zero-diagonal and unweighted for spectral use. Edge direction
-is retained on the records and used only for route validation.
+Their adjacencies come from the node-edge incidence matrix B (1.0 at both
+ends of each segment), as B B^T and B^T B with the diagonal dropped and every
+link set to 1.0: symmetric, zero-diagonal and unweighted for spectral use.
+Edge direction is retained on the records and used only for route
+validation. The numeric features are standardized per column once, here, and
+every forward pass reads those rows.
 
 CSV schemas (UTF-8, header required), read and written from the column
 constants below:
@@ -121,14 +123,14 @@ class RoadNetwork:
     edge_vocabs: tuple[int, ...]
     node_index: dict[int, int] = field(repr=False)
     edge_index: dict[int, int] = field(repr=False)
-    node_adjacency: sp.csr_matrix = field(repr=False)
-    edge_adjacency: sp.csr_matrix = field(repr=False)
     laplacian_nodes: sp.csr_matrix = field(repr=False)
     laplacian_edges: sp.csr_matrix = field(repr=False)
     node_categorical: np.ndarray = field(repr=False)  # (|V|, n_slots) int64
     edge_categorical: np.ndarray = field(repr=False)
     node_numeric: np.ndarray = field(repr=False)  # (|V|, n_cols) float64
     edge_numeric: np.ndarray = field(repr=False)
+    node_features: np.ndarray = field(repr=False)  # node_numeric standardized per column
+    edge_features: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -159,6 +161,13 @@ def normalized_laplacian(adjacency: sp.spmatrix) -> sp.csr_matrix:
     return sp.csr_matrix(lap)
 
 
+def standardization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std of a (rows, cols) matrix with rows >= 1; a
+    std below 1e-9 reads 1.0."""
+    std = matrix.std(axis=0)
+    return matrix.mean(axis=0), np.where(std < 1e-9, 1.0, std)
+
+
 def _build_adjacency(edges: list[EdgeRecord], node_index: dict[int, int], n_nodes: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     ends = np.array([node_index[node] for e in edges for node in (e.from_node, e.to_node)], dtype=np.int64)
     incidence = sp.csr_matrix((np.ones(len(ends)), (ends, np.arange(len(ends)) // 2)), shape=(n_nodes, len(edges)))
@@ -177,10 +186,11 @@ def build_network(
     node_vocabs: tuple[int, ...] | None = None,
     edge_vocabs: tuple[int, ...] | None = None,
 ) -> RoadNetwork:
-    """Validate records and assemble index maps, adjacencies, and Laplacians.
+    """Validate records and assemble index maps, Laplacians and standardized features.
 
-    Every numeric feature must be finite, and edge length and speed limit
-    must be > 0. A NetworkError names the offending record.
+    Every numeric feature must be finite and every numeric column must
+    standardize to finite values, and edge length and speed limit must be
+    > 0. A NetworkError names the offending record.
     """
     node_index: dict[int, int] = {}
     for pos, n in enumerate(nodes):
@@ -218,13 +228,23 @@ def build_network(
     edge_cat = [e.categorical for e in edges]
     nv = node_vocabs or infer_vocabs(node_cat, len(NODE_CATEGORICAL_SLOTS))
     ev = edge_vocabs or infer_vocabs(edge_cat, len(EDGE_CATEGORICAL_SLOTS))
-    for kind, records, vocabs in (("node", nodes, nv), ("edge", edges, ev)):
+    numeric, features = {}, {}
+    for kind, records, vocabs, columns in (("node", nodes, nv, NODE_NUMERIC_COLUMNS), ("edge", edges, ev, EDGE_NUMERIC_COLUMNS)):
         for pos, rec in enumerate(records):
             for j, val in enumerate(rec.categorical):
                 if not 0 <= val < vocabs[j]:
                     raise NetworkError(
                         f"{kind} {rec.id}: categorical slot {j} value {val} outside vocabulary {vocabs[j]}", (f"{kind}s", pos)
                     )
+        numeric[kind] = matrix = np.array([r.numeric for r in records], dtype=np.float64).reshape(len(records), -1)
+        # a finite std (overflow ignored) makes the mean and the standardized values finite too
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = standardization(matrix)
+        bad = np.flatnonzero(~np.isfinite(std))
+        if bad.size:  # blame the record with the column's largest magnitude
+            pos = int(np.argmax(np.abs(matrix[:, bad[0]])))
+            raise NetworkError(f"{kind} {records[pos].id}: numeric column {columns[bad[0]]} does not standardize finitely", (f"{kind}s", pos))
+        features[kind] = (matrix - mean) / std
 
     node_adj, edge_adj = _build_adjacency(edges, node_index, len(nodes))
     return RoadNetwork(
@@ -234,14 +254,14 @@ def build_network(
         edge_vocabs=ev,
         node_index=node_index,
         edge_index=edge_index,
-        node_adjacency=node_adj,
-        edge_adjacency=edge_adj,
         laplacian_nodes=normalized_laplacian(node_adj),
         laplacian_edges=normalized_laplacian(edge_adj),
         node_categorical=np.array([n.categorical for n in nodes], dtype=np.int64).reshape(len(nodes), -1),
         edge_categorical=np.array([e.categorical for e in edges], dtype=np.int64).reshape(len(edges), -1),
-        node_numeric=np.array([n.numeric for n in nodes], dtype=np.float64).reshape(len(nodes), -1),
-        edge_numeric=np.array([e.numeric for e in edges], dtype=np.float64).reshape(len(edges), -1),
+        node_numeric=numeric["node"],
+        edge_numeric=numeric["edge"],
+        node_features=features["node"],
+        edge_features=features["edge"],
     )
 
 

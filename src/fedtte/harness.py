@@ -260,6 +260,12 @@ def load_config(source) -> ExperimentConfig:
                 kwargs["schedule"] = parse_bands(raw)
             except ValueError as exc:
                 raise ValueError(f"[schedule] bands: {exc}") from exc
+    if parser.has_option("attack", "epsilons"):  # each entry's noise scale, at the config's dp_clip
+        for eps in kwargs["attack"].epsilons:
+            try:
+                replace(kwargs.get("federated", FederatedConfig()), dp_epsilon=eps)
+            except ValueError as exc:
+                raise ValueError(f"[attack] epsilons: {exc}") from exc
     experiment = ExperimentConfig()
     if parser.has_section("experiment"):
         experiment = _parse_section(parser, "experiment", ExperimentConfig, _EXPERIMENT_KEYS)
@@ -385,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             writer.writerows(pred_rows)
         payload = {name: rep.as_dict() for name, rep in reports.items()}
         with open(out / "metrics.json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
     return ExperimentResult(
         world=world,

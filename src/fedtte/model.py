@@ -4,7 +4,7 @@ Base model pipeline, per entity kind (edges and nodes):
 
 1. embedding: per-categorical-slot table lookups, summed with a
    slot-independent identity embedding and an affine projection of the
-   standardized numeric features;
+   network's standardized numeric features (RoadNetwork.*_features);
 2. spatial graph convolution: ``ReLU(sum_c theta_c L^c h) W`` per layer,
    with L the symmetric normalized Laplacian and powers applied iteratively;
 3. spatio-temporal cross product: per-entity head rows ``U = hW + b`` (b is a
@@ -70,7 +70,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import nn
-from .graph import RoadNetwork, Route
+from .graph import RoadNetwork, Route, standardization
 
 # Edge-indexed tensors (one row/coordinate per edge), the difference attack's
 # default observation surface.
@@ -127,18 +127,11 @@ class TrafficState:
 
 @dataclass
 class BaseModelParams:
-    """Trainable tensors plus the fixed numeric-feature standardization.
-
-    The standardization constants are a pure function of the network, so they
-    are recomputed on load and never travel with uploads or checkpoints.
-    """
+    """The base model's configuration and trainable tensors; everything it
+    reads of the road network (features, Laplacians) the network holds."""
 
     cfg: ModelConfig
     values: nn.ParamSet
-    edge_num_mean: np.ndarray = field(repr=False)
-    edge_num_std: np.ndarray = field(repr=False)
-    node_num_mean: np.ndarray = field(repr=False)
-    node_num_std: np.ndarray = field(repr=False)
 
     def clone(self) -> "BaseModelParams":
         return replace(self, values=nn.clone_params(self.values))
@@ -168,13 +161,6 @@ def _param_shapes(network: RoadNetwork, cfg: ModelConfig) -> dict[str, tuple[int
     return shapes
 
 
-def _standardization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = matrix.mean(axis=0) if matrix.size else np.zeros(matrix.shape[1])
-    std = matrix.std(axis=0) if matrix.size else np.ones(matrix.shape[1])
-    std = np.where(std < 1e-9, 1.0, std)
-    return mean, std
-
-
 def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseModelParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, one independent
     stream per tensor so the result is insensitive to creation order."""
@@ -184,9 +170,7 @@ def init_base_params(network: RoadNetwork, cfg: ModelConfig, seed: int) -> BaseM
     shapes["temporal.w"] = (7 + k + 4, width)
     values = {name: nn.init_uniform(shape, nn.spawn_rng(seed, "init", name)) for name, shape in sorted(shapes.items())}
     values["temporal.w"] = values["temporal.w"][7 : 7 + k].copy()
-    em, es = _standardization(network.edge_numeric)
-    vm, vs = _standardization(network.node_numeric)
-    return BaseModelParams(cfg=cfg, values=values, edge_num_mean=em, edge_num_std=es, node_num_mean=vm, node_num_std=vs)
+    return BaseModelParams(cfg=cfg, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +338,16 @@ def _receptive_field(network: RoadNetwork, cfg: ModelConfig, routes: list[Route]
     )
 
 
-def _embed_side(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, side: str, field: _Field):
+def _embed_side(network: RoadNetwork, values: nn.ParamSet, side: str, field: _Field):
     """Initial representations (C, n, d) of each client's field rows of one
     side ("e" or "v") for C clients' (C, ...) values: summed slot lookups +
     identity rows + projected standardized numeric features; also returns the
-    standardized features, (n, k) on the whole side, else (C, n, k)."""
+    rows' standardized features, (n, k) on the whole side, else (C, n, k)."""
     if side == "e":
-        cat, num = network.edge_categorical, network.edge_numeric
-        mean, std = params.edge_num_mean, params.edge_num_std
+        cat, features = network.edge_categorical, network.edge_features
     else:
-        cat, num = network.node_categorical, network.node_numeric
-        mean, std = params.node_num_mean, params.node_num_std
-    x = (num[field.rows] - mean) / std
+        cat, features = network.node_categorical, network.node_features
+    x = features[field.rows]
     h = np.matmul(x, values[f"num_proj_{side}.w"]) + values[f"num_proj_{side}.b"][:, None]
     for slot_idx in range(cat.shape[1]):
         table = values[f"embed_{side}.slot{slot_idx}"]
@@ -377,7 +359,7 @@ def _embed_side(network: RoadNetwork, params: BaseModelParams, values: nn.ParamS
     return h, x
 
 
-def _gcn_stack_forward(field: _Field, h0: np.ndarray, params: BaseModelParams, values: nn.ParamSet, side: str):
+def _gcn_stack_forward(field: _Field, h0: np.ndarray, cfg: ModelConfig, values: nn.ParamSet, side: str):
     """gcn_layers graph convolutions ReLU(sum_{c=0}^{hops} theta_c L^c h) W on
     (C, n, d) stacks, with the powers of L applied iteratively (L^c is never
     materialized); also returns the per-layer caches the backward pass reads.
@@ -385,11 +367,11 @@ def _gcn_stack_forward(field: _Field, h0: np.ndarray, params: BaseModelParams, v
     field's radius keeps them out of the rows a loss reads."""
     caches = []
     h = h0
-    for layer in range(params.cfg.gcn_layers):
+    for layer in range(cfg.gcn_layers):
         w = values[f"gcn_{side}.l{layer}.w"]
         theta = values[f"gcn_{side}.l{layer}.theta"][:, :, None, None]
         powers = [h]
-        for _ in range(params.cfg.hops):
+        for _ in range(cfg.hops):
             powers.append(field.propagate(powers[-1]))
         s = theta[:, 0] * powers[0]
         for c in range(1, len(powers)):
@@ -444,14 +426,14 @@ def _temporal_attention(values: nn.ParamSet, slots: list[int], cfg: ModelConfig)
     return probs[np.arange(len(slots)), slots], probs
 
 
-def _heads_forward(network: RoadNetwork, params: BaseModelParams, values: nn.ParamSet, fields: tuple[_Field, _Field]):
+def _heads_forward(network: RoadNetwork, cfg: ModelConfig, values: nn.ParamSet, fields: tuple[_Field, _Field]):
     """Head rows U = hW + b (C, n, I) of both sides' field rows for C clients'
     (C, ...) values, with the caches the backward pass reads."""
     field_e, field_v = fields
-    he0, xe = _embed_side(network, params, values, "e", field_e)
-    hv0, xv = _embed_side(network, params, values, "v", field_v)
-    he, caches_e = _gcn_stack_forward(field_e, he0, params, values, "e")
-    hv, caches_v = _gcn_stack_forward(field_v, hv0, params, values, "v")
+    he0, xe = _embed_side(network, values, "e", field_e)
+    hv0, xv = _embed_side(network, values, "v", field_v)
+    he, caches_e = _gcn_stack_forward(field_e, he0, cfg, values, "e")
+    hv, caches_v = _gcn_stack_forward(field_v, hv0, cfg, values, "v")
     ue = np.matmul(he, values["head_e.w"]) + field_e.gather(values["head_e.b"], field_e.rows)[:, :, None]
     uv = np.matmul(hv, values["head_v.w"]) + field_v.gather(values["head_v.b"], field_v.rows)[:, :, None]
     return {"xe": xe, "xv": xv, "he": he, "hv": hv, "ue": ue, "uv": uv, "caches_e": caches_e, "caches_v": caches_v}
@@ -462,7 +444,7 @@ def traffic_state(network: RoadNetwork, params: BaseModelParams, slots: list[int
     distinct slot of slots. The heads do not depend on the slot, so one
     whole-graph forward pass (of the C = 1 stack) serves every slot."""
     values = {k: v[None] for k, v in params.values.items()}
-    fw = _heads_forward(network, params, values, _whole_graph(network))
+    fw = _heads_forward(network, params.cfg, values, _whole_graph(network))
     ue, uv = fw["ue"][0], fw["uv"][0]
     scale = params.cfg.output_scale
     states = {}
@@ -500,7 +482,7 @@ def predict_route(state: TrafficState, route: Route, strict: bool = True) -> flo
 
 def base_loss(
     network: RoadNetwork,
-    params: BaseModelParams,
+    cfg: ModelConfig,
     values: nn.ParamSet,
     batch: list[tuple[Route, float]],
     grads: nn.FlatStack | None = None,
@@ -509,8 +491,8 @@ def base_loss(
     """Per-client squared route errors (C,) and gradients over every base tensor.
 
     values holds C clients' base tensors stacked as (C, ...) arrays and batch
-    one (route, y) per client; params supplies the configuration and the
-    numeric-feature standardization, which every client shares. Client c's
+    one (route, y) per client, under the model configuration cfg that every
+    client shares; the network supplies the standardized features. Client c's
     loss is (prediction of its route under values[c] - y)^2 and its gradients
     touch only its own slice. A single client is the case C = 1. The
     gradients are a nn.FlatStack, views into one (C, P) buffer in
@@ -535,7 +517,6 @@ def base_loss(
     """
     if not batch or len(batch) != len(values["head_e.b"]):
         raise ValueError(f"need one (route, y) per client, got {len(batch)} for {len(values['head_e.b'])}")
-    cfg = params.cfg
     scale = cfg.output_scale
     n_clients = len(batch)
     clients = np.arange(n_clients)
@@ -543,7 +524,7 @@ def base_loss(
     if routes not in cache:
         cache[routes] = _receptive_field(network, cfg, list(routes))
     fields = field_e, field_v = cache[routes]
-    fw = _heads_forward(network, params, values, fields)
+    fw = _heads_forward(network, cfg, values, fields)
     ue, uv = fw["ue"], fw["uv"]
     grads = grads if grads is not None else nn.zeros_stack(values)
     grads.cols = _written_columns(fields, grads)
@@ -650,15 +631,11 @@ class PersonalModelParams:
     dense_mean: np.ndarray = field(repr=False)
     dense_std: np.ndarray = field(repr=False)
 
-    def clone(self) -> "PersonalModelParams":
-        return replace(self, values=nn.clone_params(self.values))
-
 
 def fit_dense_stats(profiles: list[DriverProfile]) -> tuple[np.ndarray, np.ndarray]:
     """Population mean/std of the dense profile features, stored with the
     model so inference standardizes reproducibly."""
-    matrix = np.stack([p.dense_features() for p in profiles])
-    return _standardization(matrix)
+    return standardization(np.stack([p.dense_features() for p in profiles]))
 
 
 def init_personal_params(

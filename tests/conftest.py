@@ -115,7 +115,7 @@ def stack(param_sets):
 
 def base_loss_one(network, params, route, y):
     """model.base_loss for one client: the C = 1 stack, unstacked again."""
-    losses, grads = model.base_loss(network, params, stack([params.values]), [(route, y)])
+    losses, grads = model.base_loss(network, params.cfg, stack([params.values]), [(route, y)])
     return float(losses[0]), {name: g[0] for name, g in grads.items()}
 
 
@@ -126,7 +126,7 @@ def shared_base_loss(network, params, batch):
 
     def fn(values, _):
         stacked = {k: np.broadcast_to(v, (len(batch), *v.shape)) for k, v in values.items()}
-        losses, grads = model.base_loss(network, params, stacked, batch)
+        losses, grads = model.base_loss(network, params.cfg, stacked, batch)
         return float(losses.sum()), {k: g.sum(axis=0) for k, g in grads.items()}
 
     return fn

@@ -289,6 +289,18 @@ def test_train_rejects_an_epsilon_whose_noise_scale_overflows(tmp_path, config_f
     assert not (tmp_path / "run" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("epsilon, code", [("1e-100", 1), ("1e-20", 0)])
+def test_train_exits_1_naming_dp_epsilon_when_the_served_state_overflows(tmp_path, config_file, capsys, epsilon, code):
+    # noise at scale 2e100 overflows the forward pass of the aggregate; 2e20 does not
+    assert cli.main(["train", "--config", str(config_file), "--out", str(tmp_path / "run"), "--epsilon", epsilon]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: round 0 ") and f"dp_epsilon {epsilon}" in err
+    else:
+        assert err == "" and np.isfinite(json.loads((tmp_path / "run" / "metrics.json").read_text())["global"]["mae"])
+    assert (tmp_path / "run" / "metrics.json").exists() == (code == 0)
+
+
 @pytest.mark.parametrize("lines", [["dp_epsilon = 1e-300", "dp_clip = 1e10"], ["dp_clip = 1e10", "dp_epsilon = 1e-300"]])
 def test_a_config_whose_noise_scale_overflows_exits_1_naming_dp_epsilon(tmp_path, capsys, lines):
     path = tmp_path / "exp.ini"
@@ -310,6 +322,13 @@ def test_attack_rejects_an_overflowing_epsilon_before_any_simulation(tmp_path, m
     err = capsys.readouterr().err
     assert err.startswith("error:") and "dp_epsilon 1e-320" in err
     assert not (tmp_path / "atk" / "risk.csv").exists()
+
+
+def test_an_overflowing_attack_epsilon_exits_1_naming_its_ini_key(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_text(CONFIG_TEXT.replace("epsilons = inf, 0.1", "epsilons = inf, 0.1, 1e-320"))
+    assert cli.main(["attack", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: [attack] epsilons: dp_epsilon 1e-320 is too small: ")
 
 
 def test_export_state_day_outside_the_calendar_exits_1_naming_day(tmp_path, config_file, capsys):

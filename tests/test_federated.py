@@ -791,7 +791,7 @@ def test_steps_on_the_written_columns_equal_steps_on_the_whole_buffer(seed):
             verdicts = []
             for stack, reuse in zip(stacks, (True, False)):
                 values = stack.head(active)
-                losses, g = model.base_loss(net, global_params, values, batch, grads.head(active) if reuse else None)
+                losses, g = model.base_loss(net, global_params.cfg, values, batch, grads.head(active) if reuse else None)
                 cols = g.cols if reuse else nn.ALL_COLUMNS
                 flat = {"flat": g.buffer}
                 ok = federated._steps_ok(losses, flat, lr, cols)
@@ -817,9 +817,9 @@ def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatc
         builds.append(len(routes))
         return build(network, model_cfg, routes)
 
-    def recording_loss(network, params, values, batch, grads, field_cache):
+    def recording_loss(network, model_cfg, values, batch, grads, field_cache):
         caches.append(field_cache)
-        return model.base_loss(network, params, values, batch, grads, field_cache)
+        return model.base_loss(network, model_cfg, values, batch, grads, field_cache)
 
     with monkeypatch.context() as m:
         m.setattr(model, "_receptive_field", counting_build)
@@ -842,7 +842,7 @@ def test_local_epochs_reuse_fields_equal_to_fields_rebuilt_every_step(monkeypatc
     reused_values = [c.localized_global.values for c in clients]
     global_params, clients = _lockstep_setup("10x10", (1, 2), [4, 2, 3], False, True, 0)
     with monkeypatch.context() as m:
-        m.setattr(federated, "base_loss", lambda network, params, values, batch, grads, _: model.base_loss(network, params, values, batch, grads))
+        m.setattr(federated, "base_loss", lambda network, model_cfg, values, batch, grads, _: model.base_loss(network, model_cfg, values, batch, grads))
         rebuilt = client_update(clients, global_params, cfg, _DAY0, 2)
     for (upload, _), (expected, _), client, values in zip(rebuilt, reused, clients, reused_values):
         _assert_same_bytes_params(upload, expected)
@@ -877,7 +877,8 @@ def test_steps_ok_on_the_flat_buffer_agrees_with_the_per_tensor_check(tiny_world
     # local training checks a step on base_loss's whole (C, P) gradient
     # buffer; the verdict must be the per-tensor one at the base model's
     # shapes, here with a zero-size num_proj_v.w (no numeric node columns)
-    network = replace(tiny_world.network, node_numeric=np.zeros((tiny_world.network.n_nodes, 0)))
+    no_columns = np.zeros((tiny_world.network.n_nodes, 0))
+    network = replace(tiny_world.network, node_numeric=no_columns, node_features=no_columns)
     values = model.init_base_params(network, tiny_cfg, seed).values
     grads = nn.zeros_stack({k: np.broadcast_to(v, (len(bounds), *v.shape)) for k, v in values.items()})
     assert grads["num_proj_v.w"].size == 0
@@ -896,7 +897,8 @@ def test_steps_ok_on_the_flat_buffer_agrees_with_the_per_tensor_check(tiny_world
 
 def test_client_update_on_a_network_without_numeric_node_columns(tiny_world, tiny_cfg):
     # num_proj_v.w is then (0, d), and every step checks it
-    network = replace(tiny_world.network, node_numeric=np.zeros((tiny_world.network.n_nodes, 0)))
+    no_columns = np.zeros((tiny_world.network.n_nodes, 0))
+    network = replace(tiny_world.network, node_numeric=no_columns, node_features=no_columns)
     global_params = model.init_base_params(network, tiny_cfg, seed=0)
     assert global_params.values["num_proj_v.w"].shape == (0, tiny_cfg.embed_dim)
     clients = build_clients(tiny_world)

@@ -15,15 +15,20 @@ from fedtte.graph import EdgeRecord, NetworkError, NodeRecord, Route
 from conftest import NUMERIC_FIELD_TEXT, finite_value, make_edge, make_node, make_path_network, make_triangle_network
 
 
+def _adjacencies(net):
+    """The network's node and edge adjacencies, which only its Laplacians keep."""
+    return graph._build_adjacency(net.edges, net.node_index, net.n_nodes)
+
+
 def test_two_node_single_edge_has_empty_edge_adjacency():
     net = make_path_network(2)
-    adj = net.edge_adjacency
+    adj = _adjacencies(net)[1]
     assert adj.nnz == 0
 
 
 def test_triangle_edge_adjacency_symmetric_pairs():
     net = make_triangle_network()
-    adj = net.edge_adjacency.toarray()
+    adj = _adjacencies(net)[1].toarray()
     # every pair of the 3 edges shares exactly one endpoint
     expected = np.ones((3, 3)) - np.eye(3)
     assert np.array_equal(adj, expected)
@@ -32,19 +37,19 @@ def test_triangle_edge_adjacency_symmetric_pairs():
 
 def test_laplacian_empty_adjacency_is_identity():
     net = make_path_network(2)
-    lap = graph.normalized_laplacian(net.edge_adjacency).toarray()
+    lap = graph.normalized_laplacian(_adjacencies(net)[1]).toarray()
     assert np.array_equal(lap, np.eye(1))
 
 
 def test_laplacian_two_node_path():
     net = make_path_network(3)  # 2 edges sharing node 1
-    lap = graph.normalized_laplacian(net.edge_adjacency).toarray()
+    lap = graph.normalized_laplacian(_adjacencies(net)[1]).toarray()
     assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
 
 def test_laplacian_triangle():
     net = make_triangle_network()
-    lap = graph.normalized_laplacian(net.edge_adjacency).toarray()
+    lap = graph.normalized_laplacian(_adjacencies(net)[1]).toarray()
     assert np.allclose(np.diag(lap), np.ones(3), atol=1e-15)
     off = lap[~np.eye(3, dtype=bool)]
     assert np.allclose(off, -0.5, atol=1e-15)
@@ -81,7 +86,7 @@ def test_edge_adjacency_matches_bruteforce(seed):
     if not edges:
         edges.append(make_edge(0, 0, 1))
     net = graph.build_network(nodes, edges)
-    adj = net.edge_adjacency.toarray()
+    adj = _adjacencies(net)[1].toarray()
     for i, ei in enumerate(edges):
         for j, ej in enumerate(edges):
             share = i != j and bool(
@@ -113,10 +118,7 @@ def test_adjacencies_are_the_canonical_csr_of_the_brute_force_matrices(data):
         node_dense[u, v] = node_dense[v, u] = 1.0
         for j, other in enumerate(pairs):
             edge_dense[i, j] = float(i != j and bool({u, v} & set(other)))
-    for adjacency, laplacian, dense in (
-        (net.node_adjacency, net.laplacian_nodes, node_dense),
-        (net.edge_adjacency, net.laplacian_edges, edge_dense),
-    ):
+    for adjacency, laplacian, dense in zip(_adjacencies(net), (net.laplacian_nodes, net.laplacian_edges), (node_dense, edge_dense)):
         want = sp.csr_matrix(dense)
         _assert_same_csr(adjacency, want)
         _assert_same_csr(laplacian, graph.normalized_laplacian(want))
@@ -253,6 +255,19 @@ def test_schema_missing_slot_is_named(tmp_path):
         graph.load_network(nodes, edges, schema)
 
 
+def _finite_std(cells):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.std(cells)))
+
+
+def test_load_names_the_row_whose_huge_cell_overflows_its_column(tmp_path):
+    # every cell is finite, but 1e200 squared overflows the lat column's std
+    nodes, edges = _path_csvs(tmp_path, node_rows=[[0, 0.0, 0.0, 0, 0, 0], [1, 1e200, 0.0, 0, 0, 0], [2, 2.0, 0.0, 0, 0, 0]])
+    with pytest.raises(NetworkError) as exc:
+        graph.load_network(nodes, edges)
+    assert str(exc.value) == "nodes row 3: node 1: numeric column lat does not standardize finitely"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     table=st.sampled_from(["nodes", "edges"]),
@@ -261,8 +276,8 @@ def test_schema_missing_slot_is_named(tmp_path):
 )
 def test_load_network_numeric_fields_fuzz(tmp_path_factory, table, column, text):
     # one numeric field of data row 3 holds the text: it loads when the text
-    # is a finite number (> 0 for length and speed limit), else ValueError
-    # names the row
+    # is a finite number (> 0 for length and speed limit) and its column's
+    # std is finite, else ValueError names the row
     directory = tmp_path_factory.mktemp("net")
     node_rows = [[i, float(i), 0.0, 0, 0, 0] for i in range(3)]
     edge_rows = [[i, i, i + 1, 0, 100.0, 50.0, 1.0, 3.5, 0, 0] for i in range(2)]
@@ -273,7 +288,8 @@ def test_load_network_numeric_fields_fuzz(tmp_path_factory, table, column, text)
         edge_rows[1][4 + column] = text
     nodes, edges = _path_csvs(directory, node_rows, edge_rows)
     value = finite_value(text)
-    if value is not None and (table == "nodes" or column >= 2 or value > 0):
+    rows, index = (node_rows, 1 + column) if table == "nodes" else (edge_rows, 4 + column)
+    if value is not None and (table == "nodes" or column >= 2 or value > 0) and _finite_std([value if i == 1 else r[index] for i, r in enumerate(rows)]):
         net = graph.load_network(nodes, edges)
         numeric = net.node_numeric[1, column] if table == "nodes" else net.edge_numeric[1, column]
         assert numeric == value

@@ -329,6 +329,18 @@ def test_load_config_names_a_key_the_check_rejects(tmp_path, lines, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("federated, overflows", [("", False), ("dp_clip = 1e10\n", True)])
+def test_load_config_checks_attack_epsilons_at_the_configs_dp_clip(tmp_path, federated, overflows):
+    # 2 * dp_clip / 1e-300 is 2e300, finite, at the default dp_clip 1.0 and overflows at 1e10
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[federated]\n{federated}[attack]\nepsilons = inf, 1e-300\n")
+    if not overflows:
+        assert load_config(path).attack.epsilons == (math.inf, 1e-300)
+        return
+    with pytest.raises(ValueError, match=r"^\[attack\] epsilons: dp_epsilon 1e-300 is too small: "):
+        load_config(path)
+
+
 def test_parse_bands_default_equivalent():
     sched = parse_bands("23-7:4, 7-9:0.5, 9-17:2, 17-19:0.5, 19-23:2")
     from fedtte.federated import default_schedule

@@ -48,7 +48,7 @@ def test_embed_features_reduces_to_slot_lookup(tiny_cfg):
     params = model.init_base_params(net, tiny_cfg, seed=0)
     # silence everything except the road_type slot table
     zero_all(params, ["num_proj_e.w", "num_proj_e.b", "embed_e.identity", "embed_e.slot1"])
-    he = model._embed_side(net, params, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
+    he = model._embed_side(net, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
     table = params.values["embed_e.slot0"]
     for pos, e in enumerate(net.edges):
         assert np.array_equal(he[pos], table[e.categorical[0]])
@@ -62,7 +62,7 @@ def test_embed_features_identical_features_identical_rows(tiny_cfg):
     net = graph.build_network(nodes, edges)
     params = model.init_base_params(net, tiny_cfg, seed=1)
     zero_all(params, ["embed_e.identity"])
-    he = model._embed_side(net, params, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
+    he = model._embed_side(net, stack([params.values]), "e", model._whole_graph(net)[0])[0][0]
     assert np.array_equal(he[0], he[1])
 
 
@@ -71,13 +71,8 @@ def test_embed_features_identical_features_identical_rows(tiny_cfg):
 def gcn(lap, h, w, theta):
     """One layer of the model's graph convolution with hand-set weights."""
     cfg = ModelConfig(gcn_layers=1, hops=len(theta) - 1)
-    unused = np.zeros(0)
-    params = model.BaseModelParams(
-        cfg=cfg, values={"gcn_e.l0.w": w, "gcn_e.l0.theta": theta},
-        edge_num_mean=unused, edge_num_std=unused, node_num_mean=unused, node_num_std=unused,
-    )
     field = model._Field(rows=slice(None), valid=None, laplacian=lap, n_total=len(lap))
-    out, _ = model._gcn_stack_forward(field, h[None], params, stack([params.values]), "e")
+    out, _ = model._gcn_stack_forward(field, h[None], cfg, stack([{"gcn_e.l0.w": w, "gcn_e.l0.theta": theta}]), "e")
     return out[0]
 
 
@@ -267,7 +262,7 @@ def test_base_loss_near_zero_at_served_targets(tiny_world, tiny_cfg):
         (r, model.predict_route(model.traffic_state(net, params, [slot_of(r)])[slot_of(r)], r))
         for r, _ in _world_batch(tiny_world, 2)
     ]
-    losses, grads = model.base_loss(net, params, stack([params.values] * len(batch)), batch)
+    losses, grads = model.base_loss(net, params.cfg, stack([params.values] * len(batch)), batch)
     assert losses.sum() < 1e-24
     for g in grads.values():
         assert np.abs(g).max() < 1e-9
@@ -286,7 +281,7 @@ def test_base_loss_gradients_touch_only_base_tensors(tiny_world, tiny_cfg):
     net = tiny_world.network
     params = model.init_base_params(net, tiny_cfg, seed=4)
     batch = _world_batch(tiny_world, 2)
-    _, grads = model.base_loss(net, params, stack([params.values] * len(batch)), batch)
+    _, grads = model.base_loss(net, params.cfg, stack([params.values] * len(batch)), batch)
     assert sorted(grads) == sorted(params.values)
     assert not any(name.startswith("p.") for name in grads)
 
@@ -322,7 +317,7 @@ GRID_10_ROUTES = [t.route for t in data.sample_trajectories(GRID_10, 0)]
 def _whole_graph_loss(net, params, values, batch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_receptive_field", lambda network, cfg, routes: model._whole_graph(network))
-        return model.base_loss(net, params, values, batch)
+        return model.base_loss(net, params.cfg, values, batch)
 
 
 @st.composite
@@ -350,7 +345,7 @@ def test_base_loss_on_the_field_equals_the_whole_graph_bytewise(cfg, batch, seed
     net = GRID_10.network
     params = model.init_base_params(net, cfg, seed)
     values = stack([model.init_base_params(net, cfg, seed + c).values for c in range(len(batch))])
-    loss, grads = model.base_loss(net, params, values, batch)
+    loss, grads = model.base_loss(net, params.cfg, values, batch)
     whole_loss, whole_grads = _whole_graph_loss(net, params, values, batch)
     assert loss.tobytes() == whole_loss.tobytes()
     assert sorted(grads) == sorted(whole_grads)
@@ -523,7 +518,7 @@ def test_base_loss_gradients_are_one_flat_buffer():
     batch = [(route, 100.0 * i) for i, route in enumerate(GRID_10_ROUTES[:3])]
     params = model.init_base_params(net, _GRID_CFG, 0)
     values = stack([model.init_base_params(net, _GRID_CFG, c).values for c in range(len(batch))])
-    _, grads = model.base_loss(net, params, values, batch)
+    _, grads = model.base_loss(net, params.cfg, values, batch)
     for c in range(len(batch)):
         assert np.concatenate([grads[name][c].ravel() for name in sorted(grads)]).tobytes() == grads.buffer[c].tobytes()
     assert all(np.shares_memory(g, grads.buffer) for g in grads.values() if g.size)
@@ -533,14 +528,14 @@ def test_base_loss_gradients_are_one_flat_buffer():
     # the columns written and keeps its stale values in the others.
     batch = [(route_of([("e", e)], departure=MIDNIGHT.replace(hour=8)), 100.0) for e in (0, 150, 300)]
     assert not any(f.whole for f in model._receptive_field(net, _GRID_CFG, [route for route, _ in batch]))
-    _, grads = model.base_loss(net, params, values, batch)
+    _, grads = model.base_loss(net, params.cfg, values, batch)
     written = np.zeros(grads.buffer.shape, dtype=bool)
     grads.cols.write(written, np.ones(grads.cols.read(written).shape, dtype=bool))
     outside = grads.buffer[~written]
     assert outside.size and not outside.any() and not np.signbit(outside).any()
     reused = nn.FlatStack({k: v.shape[1:] for k, v in values.items()}, len(batch) + 2)
     reused.buffer[...] = np.nan
-    _, again = model.base_loss(net, params, values, batch, grads=reused.head(len(batch)))
+    _, again = model.base_loss(net, params.cfg, values, batch, grads=reused.head(len(batch)))
     assert np.shares_memory(again.buffer, reused.buffer)
     assert again.buffer[written].tobytes() == grads.buffer[written].tobytes()
     assert np.isnan(again.buffer[~written]).all() and np.isnan(reused.buffer[len(batch) :]).all()
@@ -599,12 +594,12 @@ def test_stacked_base_loss_on_strict_fields_finite_difference(tiny_cfg):
 
     def summed(values, _):
         # client c's loss reads only slice c, so the sum's gradient there is its own
-        losses, grads = model.base_loss(net, base, values, batch)
+        losses, grads = model.base_loss(net, base.cfg, values, batch)
         return float(losses.sum()), grads
 
     assert nn.check_gradients(summed, values, None, eps=1e-5) < 1e-4
     # each client's slice equals its C = 1 result
-    losses, grads = model.base_loss(net, base, values, batch)
+    losses, grads = model.base_loss(net, base.cfg, values, batch)
     for c, (route, y) in enumerate(batch):
         loss, one = base_loss_one(net, base.with_values({k: v[c] for k, v in values.items()}), route, y)
         assert losses[c] == loss

@@ -16,8 +16,8 @@ from fedtte import graph, model, nn
 # ---------------------------------------------------------------- affine projection and row lookup
 # The model inlines both layers in model._embed_side: node features (lat, lon)
 # go through x @ num_proj_v.w + num_proj_v.b and junction_type ids pick rows of
-# embed_v.slot0. With the standardization set to mean 0 / std 1 and every
-# other term zeroed, the side's output is the layer alone.
+# embed_v.slot0. With the network's standardized features set to the raw ones
+# and every other term zeroed, the side's output is the layer alone.
 
 
 def _embed_side_v(numeric, junction_types, values):
@@ -29,12 +29,12 @@ def _embed_side_v(numeric, junction_types, values):
     nodes += [graph.NodeRecord(id=n + i, categorical=(0, 0, 0), numeric=(0.0, 0.0)) for i in range(2)]
     edge = graph.EdgeRecord(id=0, from_node=n, to_node=n + 1, categorical=(0, 0), numeric=(100.0, 50.0, 1.0, 3.5))
     net = graph.build_network(nodes, [edge])
+    net = replace(net, node_features=net.node_numeric)
     dim = next(iter(values.values())).shape[1]
     params = model.init_base_params(net, model.ModelConfig(embed_dim=dim), seed=0)
-    params = replace(params, node_num_mean=np.zeros(2), node_num_std=np.ones(2))
     for name in ("embed_v.identity", "embed_v.slot0", "embed_v.slot1", "embed_v.slot2", "num_proj_v.w", "num_proj_v.b"):
         params.values[name] = values.get(name, np.zeros_like(params.values[name]))
-    h, x_std = model._embed_side(net, params, {k: v[None] for k, v in params.values.items()}, "v", model._whole_graph(net)[1])
+    h, x_std = model._embed_side(net, {k: v[None] for k, v in params.values.items()}, "v", model._whole_graph(net)[1])
     assert np.array_equal(x_std[:n], numeric)
     return h[0, :n]
 

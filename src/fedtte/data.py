@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .graph import EdgeRecord, NodeRecord, RoadNetwork, Route, build_network, out_edges, validate_route
-from .model import TrafficState, predict_route, slot_of_time
+from .model import DriverProfile, TrafficState, predict_route, slot_of_time
 
 EPOCH_DATE = date(2024, 1, 1)  # a Monday
 RUSH_HOURS = (7, 8, 17, 18)
@@ -249,7 +249,7 @@ def sample_trajectories(world: World, day: int) -> list[TrajectoryRecord]:
             departure = datetime(day_date.year, day_date.month, day_date.day, hour, minute, second)
             n_edges = int(rng.integers(spec.walk_min, spec.walk_max + 1))
             steps = _sample_walk(world.network, outgoing, rng, n_edges)
-            route = Route(steps=steps, departure_time=departure, driver_id=driver.driver_id)
+            route = Route(steps=steps, departure_time=departure)
             slot = slot_of_time(departure, spec.time_slots)
             hidden_sum = predict_route(world.hidden_states[slot], route)
             y = hidden_sum + driver.bias_s
@@ -316,7 +316,7 @@ def load_trajectories(source, network: RoadNetwork) -> list[TrajectoryRecord]:
                 if ident not in index:
                     raise ValueError(f"trajectories row {lineno}: unknown {'edge' if kind == 'e' else 'node'} id {ident}")
                 steps.append((kind, index[ident]))
-            route = Route(steps=tuple(steps), departure_time=departure, driver_id=driver_id)
+            route = Route(steps=tuple(steps), departure_time=departure)
             violations = validate_route(network, route)
             if violations:
                 raise ValueError(f"trajectories row {lineno}: {violations[0]}")
@@ -356,7 +356,7 @@ def extract_profile(
     grid: GridSpec,
     network: RoadNetwork,
     arity: int = 5,
-) -> "DriverProfile":
+) -> DriverProfile:
     """Profile features from one driver's trips, order-insensitively.
 
     Break start/end are the boundaries of the longest per-day gap between
@@ -365,8 +365,6 @@ def extract_profile(
     traversals; distance is the mean per-trip summed edge length; trips/day
     divides by the number of active days.
     """
-    from .model import DriverProfile
-
     if not trajectories:
         raise ValueError("extract_profile needs at least one trajectory")
     trips = sorted(trajectories, key=lambda t: t.departure)

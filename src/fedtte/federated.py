@@ -129,7 +129,9 @@ class AggregationSchedule:
     [0, 24) and each interval divides its band's length. A band contributes
     instants start, start + delta, ..., end - delta."""
 
-    bands: tuple[tuple[float, float, float], ...]
+    bands: tuple[tuple[float, float, float], ...] = (
+        (23.0, 7.0, 4.0), (7.0, 9.0, 0.5), (9.0, 17.0, 2.0), (17.0, 19.0, 0.5), (19.0, 23.0, 2.0)
+    )
 
     def __post_init__(self) -> None:
         if not self.bands:
@@ -184,15 +186,7 @@ def _fmt_hour(h: float) -> str:
 
 def default_schedule() -> AggregationSchedule:
     """Dense half-hourly aggregation in the rush bands, sparse overnight."""
-    return AggregationSchedule(
-        bands=(
-            (23.0, 7.0, 4.0),
-            (7.0, 9.0, 0.5),
-            (9.0, 17.0, 2.0),
-            (17.0, 19.0, 0.5),
-            (19.0, 23.0, 2.0),
-        )
-    )
+    return AggregationSchedule()
 
 
 @dataclass(frozen=True)
@@ -225,34 +219,21 @@ def day_instants(schedule: AggregationSchedule, day: int, prev_end: datetime | N
 
 @dataclass(frozen=True)
 class RoundRecord:
-    round_index: int
+    """One aggregation round; its fields are the keys of the round's
+    round_log.jsonl line, which is dataclasses.asdict of the record."""
+
+    round: int
     day: int
-    time_label: str
+    time: str
     band: str
     slot: int
     selected: tuple[str, ...]
-    clients: tuple[tuple[str, int, str], ...]  # (id, n_m, upload digest)
+    clients: tuple[dict, ...]  # {"id", "n": n_m, "digest": upload digest} per upload
     n_total: int
     aggregate_digest: str
     timestamp: str  # simulated aggregation instant, ISO-8601
     skipped: bool
     train_mae: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "day": self.day,
-            "time": self.time_label,
-            "band": self.band,
-            "slot": self.slot,
-            "selected": list(self.selected),
-            "clients": [{"id": cid, "n": n, "digest": digest} for cid, n, digest in self.clients],
-            "n_total": self.n_total,
-            "aggregate_digest": self.aggregate_digest,
-            "timestamp": self.timestamp,
-            "skipped": self.skipped,
-            "train_mae": self.train_mae,
-        }
 
 
 @dataclass
@@ -512,13 +493,13 @@ def run_round(
         server.latest_state = states[slot]
         errors = [abs(predict_route(states[s], traj.route) - traj.y) for traj, s in zip(trained, slots)]
     record = RoundRecord(
-        round_index=round_index,
+        round=round_index,
         day=instant.day,
-        time_label=instant.label,
+        time=instant.label,
         band=instant.band,
         slot=slot,
         selected=tuple(client.client_id for client, _, _ in uploads),
-        clients=tuple((client.client_id, n_m, nn.params_digest(upload)) for client, n_m, upload in uploads),
+        clients=tuple({"id": client.client_id, "n": n_m, "digest": nn.params_digest(upload)} for client, n_m, upload in uploads),
         n_total=sum(n_m for _, n_m, _ in uploads),
         aggregate_digest=nn.params_digest(server.global_params.values),
         timestamp=instant.end.isoformat(),

@@ -106,7 +106,6 @@ class Route:
 
     steps: tuple[tuple[str, int], ...]
     departure_time: datetime
-    driver_id: str
 
     def edge_positions(self) -> list[int]:
         return [pos for kind, pos in self.steps if kind == "e"]

@@ -9,10 +9,13 @@ splits: the untrained initialization (baseline), the localized global model
 alone, and the personalized combination.
 
 All file writes happen here, from the single orchestrating thread: a JSONL
-round log, per-round parameter checkpoints, a prediction dump CSV, and a
-metrics JSON. Timestamps in artifacts are simulated aggregation instants, so
-identical config and seed reproduce artifacts byte for byte when noise is
-off.
+round log (dataclasses.asdict of each round's RoundRecord), per-round
+parameter checkpoints, a prediction dump CSV, and a metrics JSON.
+Timestamps in artifacts are simulated aggregation instants, so identical
+config and seed reproduce artifacts byte for byte when noise is off.
+
+Config files are INI with one section per config dataclass, [schedule]
+included, each key a field of that class (load_config).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -46,7 +49,6 @@ from .federated import (
     FederatedConfig,
     RoundRecord,
     ServerState,
-    default_schedule,
 )
 from .graph import RoadNetwork, save_network
 from .model import (
@@ -138,7 +140,7 @@ class ExperimentConfig:
     world: WorldSpec = WorldSpec()
     model: ModelConfig = ModelConfig()
     federated: FederatedConfig = FederatedConfig()
-    schedule: AggregationSchedule | None = None
+    schedule: AggregationSchedule = AggregationSchedule()
     days: int = 1
     eval_days: int = 1
     max_rounds: int | None = None
@@ -154,18 +156,13 @@ class ExperimentConfig:
             raise ValueError("max_rounds must be >= 1 when set")
 
 
-_SECTION_CLASSES = {"world": WorldSpec, "model": ModelConfig, "federated": FederatedConfig, "attack": AttackSettings}
+_SECTION_CLASSES = {
+    "world": WorldSpec, "model": ModelConfig, "federated": FederatedConfig, "schedule": AggregationSchedule, "attack": AttackSettings
+}
 _EXPERIMENT_KEYS = {"days": "days", "eval_days": "eval_days", "max_rounds": "max_rounds", "out": "out_dir", "out_dir": "out_dir"}
 
 
 def _coerce(raw: str, typ: type) -> object:
-    if typ is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if typ in (int, int | None):
         return int(raw)
     if typ is float:
@@ -174,6 +171,8 @@ def _coerce(raw: str, typ: type) -> object:
         return raw.strip()
     if typ == tuple[float, ...]:
         return tuple(float(part.strip()) for part in raw.split(","))
+    if typ == tuple[tuple[float, float, float], ...]:
+        return parse_bands(raw).bands
     raise ValueError(f"config values of type {typ!r} are not supported")
 
 
@@ -244,28 +243,17 @@ def load_config(source) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(source, encoding="utf-8") as fh:
         parser.read_file(fh)
-    known = set(_SECTION_CLASSES) | {"experiment", "schedule"}
+    known = set(_SECTION_CLASSES) | {"experiment"}
     for section in parser.sections():
         if section not in known:
             raise ValueError(f"unknown config section [{section}]")
-    kwargs: dict = {}
-    for name, cls in _SECTION_CLASSES.items():
-        if parser.has_section(name):
-            kwargs[name] = _parse_section(parser, name, cls)
-    if parser.has_section("schedule"):
-        for key, raw in _section_items(parser, "schedule"):
-            if key != "bands":
-                raise ValueError(f"[schedule] has no setting named {key!r}")
-            try:
-                kwargs["schedule"] = parse_bands(raw)
-            except ValueError as exc:
-                raise ValueError(f"[schedule] bands: {exc}") from exc
-    if parser.has_option("attack", "epsilons"):  # each entry's noise scale, at the config's dp_clip
-        for eps in kwargs["attack"].epsilons:
-            try:
-                replace(kwargs.get("federated", FederatedConfig()), dp_epsilon=eps)
-            except ValueError as exc:
-                raise ValueError(f"[attack] epsilons: {exc}") from exc
+    kwargs = {name: _parse_section(parser, name, cls) for name, cls in _SECTION_CLASSES.items() if parser.has_section(name)}
+    for eps in kwargs.get("attack", AttackSettings()).epsilons:  # each one's noise scale, at the config's dp_clip
+        try:
+            replace(kwargs.get("federated", FederatedConfig()), dp_epsilon=eps)
+        except ValueError as exc:
+            key = "[attack] epsilons" if parser.has_option("attack", "epsilons") else "[federated] dp_clip"
+            raise ValueError(f"{key}: {exc}") from exc
     experiment = ExperimentConfig()
     if parser.has_section("experiment"):
         experiment = _parse_section(parser, "experiment", ExperimentConfig, _EXPERIMENT_KEYS)
@@ -290,8 +278,7 @@ class ExperimentResult:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     world = generate_world(cfg.world)
-    schedule = cfg.schedule if cfg.schedule is not None else default_schedule()
-    server = fed.init_server(world.network, cfg.model, cfg.federated, schedule)
+    server = fed.init_server(world.network, cfg.model, cfg.federated, cfg.schedule)
     init_params = server.global_params.clone()
     pool = fed.build_clients(world, days=cfg.days)
 
@@ -303,11 +290,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     log_lines: list[str] = []
     instants: list[fed.Instant] = []  # every day's, each window chained from the one before
     for day in range(cfg.days):
-        instants += fed.day_instants(schedule, day, instants[-1].end if instants else None)
+        instants += fed.day_instants(cfg.schedule, day, instants[-1].end if instants else None)
     for instant in instants[: cfg.max_rounds]:
         record, params, _ = fed.run_round(server, pool, instant, cfg.federated)
         records.append(record)
-        log_lines.append(json.dumps(record.as_dict(), sort_keys=True))
+        log_lines.append(json.dumps(asdict(record), sort_keys=True))
         if out is not None and not record.skipped:
             name = f"global_d{instant.day:02d}_{instant.label.replace(':', '')}.bin"
             nn.save_params(params.values, out / "checkpoints" / name)

@@ -626,7 +626,6 @@ class DriverProfile:
 
 @dataclass
 class PersonalModelParams:
-    cfg: ModelConfig
     values: nn.ParamSet
     dense_mean: np.ndarray = field(repr=False)
     dense_std: np.ndarray = field(repr=False)
@@ -659,7 +658,6 @@ def init_personal_params(
     }
     values = {name: nn.init_uniform(shape, nn.spawn_rng(seed, "p-init", name)) for name, shape in sorted(shapes.items())}
     return PersonalModelParams(
-        cfg=cfg,
         values=values,
         dense_mean=dense_mean if dense_mean is not None else np.zeros(4),
         dense_std=dense_std if dense_std is not None else np.ones(4),

@@ -178,11 +178,11 @@ def test_routes_are_spelled_by_record_ids_not_positions(tmp_path):
     net = graph.build_network(nodes, [make_edge(7, 30, 10), make_edge(5, 10, 20), make_edge(0, 20, 30)])
     departure = datetime(2024, 1, 1, 8, 0)
     routes = [
-        Route(steps=(("e", 0), ("v", 1), ("e", 1)), departure_time=departure, driver_id="d0"),
-        Route(steps=(("e", 2), ("v", 0), ("e", 0)), departure_time=departure, driver_id="d1"),
+        Route(steps=(("e", 0), ("v", 1), ("e", 1)), departure_time=departure),
+        Route(steps=(("e", 2), ("v", 0), ("e", 0)), departure_time=departure),
     ]
     assert [data.route_tokens(route, net) for route in routes] == ["e7|v10|e5", "e0|v30|e7"]
-    recs = [TrajectoryRecord(driver_id=route.driver_id, route=route, y=60.5) for route in routes]
+    recs = [TrajectoryRecord(driver_id=driver, route=route, y=60.5) for driver, route in zip(["d0", "d1"], routes)]
     path = tmp_path / "t.csv"
     data.save_trajectories(recs, net, path)
     assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == ["e7|v10|e5", "e0|v30|e7"]
@@ -247,7 +247,7 @@ def _trip(network, edge_positions, departure, y, driver="d0"):
             shared = network.edges[e].from_node
             steps.append(("v", network.node_index[shared]))
         steps.append(("e", e))
-    route = Route(steps=tuple(steps), departure_time=departure, driver_id=driver)
+    route = Route(steps=tuple(steps), departure_time=departure)
     return TrajectoryRecord(driver_id=driver, route=route, y=y)
 
 

@@ -397,7 +397,7 @@ def test_round_record_n_total_is_sum_of_client_counts(tiny_world, tiny_cfg):
     server, pool = _server_and_pool(tiny_world, cfg, tiny_cfg, schedule=sched)
     record, _, _ = run_round(server, pool, instant, cfg)
     assert not record.skipped
-    assert record.n_total == sum(n for _, n, _ in record.clients)
+    assert record.n_total == sum(client["n"] for client in record.clients)
     assert len(record.clients) == len(record.selected)
 
 

@@ -128,14 +128,14 @@ def test_adjacencies_are_the_canonical_csr_of_the_brute_force_matrices(data):
 
 def test_validate_single_edge_route():
     net = make_path_network(3)
-    route = Route(steps=(("e", 0),), departure_time=None, driver_id="d0")
+    route = Route(steps=(("e", 0),), departure_time=None)
     assert graph.validate_route(net, route) == []
 
 
 def test_validate_flags_connectivity_violation():
     net = make_path_network(3)
     # e0 runs 0->1 but v2 is not an endpoint of e0
-    route = Route(steps=(("e", 0), ("v", 2), ("e", 1)), departure_time=None, driver_id="d0")
+    route = Route(steps=(("e", 0), ("v", 2), ("e", 1)), departure_time=None)
     violations = graph.validate_route(net, route)
     assert violations
     assert "1" in violations[0]  # reported at step index 1
@@ -143,14 +143,14 @@ def test_validate_flags_connectivity_violation():
 
 def test_validate_flags_alternation_violation():
     net = make_path_network(3)
-    route = Route(steps=(("e", 0), ("e", 1)), departure_time=None, driver_id="d0")
+    route = Route(steps=(("e", 0), ("e", 1)), departure_time=None)
     violations = graph.validate_route(net, route)
     assert violations
 
 
 def test_validate_unknown_ids():
     net = make_path_network(2)
-    route = Route(steps=(("e", 99),), departure_time=None, driver_id="d0")
+    route = Route(steps=(("e", 99),), departure_time=None)
     assert graph.validate_route(net, route)
 
 

@@ -1,11 +1,12 @@
 """Harness tests: metrics, congestion export, config parsing, and the
 end-to-end experiment loop with its artifacts."""
 
+import configparser
 import csv
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -341,6 +342,46 @@ def test_load_config_checks_attack_epsilons_at_the_configs_dp_clip(tmp_path, fed
         load_config(path)
 
 
+def test_load_config_checks_the_default_attack_epsilons_at_the_configs_dp_clip(tmp_path, capsys):
+    # 2 * dp_clip overflows at 1e308, so the default epsilon 100 is too small
+    path = tmp_path / "exp.ini"
+    path.write_text("[federated]\ndp_clip = 1e308\n")
+    with pytest.raises(ValueError, match=r"^\[federated\] dp_clip: dp_epsilon 100.0 is too small: "):
+        load_config(path)
+    for command in ("train", "attack"):
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: [federated] dp_clip: ")
+
+
+@pytest.mark.parametrize("text", ["", "[schedule]\n", "[world]\nseed = 3\n[schedule]\n"])
+def test_load_config_without_bands_reads_the_default_schedule(tmp_path, text):
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    assert load_config(path).schedule == federated.default_schedule()
+
+
+MUTATION = st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, len(CONFIG_TEXT)), st.integers(0, 255))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(MUTATION, min_size=1, max_size=4))
+def test_load_config_of_a_byte_mutated_file_returns_a_config_or_an_input_error(tmp_path_factory, mutations):
+    # cli.main maps exactly these errors to exit 1; anything else would exit 2
+    blob = bytearray(CONFIG_TEXT.encode())
+    for op, position, byte in mutations:
+        position %= len(blob) + 1
+        if op == "insert":
+            blob.insert(position, byte)
+        elif position < len(blob):
+            blob[position : position + 1] = bytes([byte]) if op == "replace" else b""
+    path = tmp_path_factory.mktemp("ini") / "exp.ini"
+    path.write_bytes(bytes(blob))
+    try:
+        assert isinstance(load_config(path), ExperimentConfig)
+    except (ValueError, OSError, configparser.Error):
+        pass
+
+
 def test_parse_bands_default_equivalent():
     sched = parse_bands("23-7:4, 7-9:0.5, 9-17:2, 17-19:0.5, 19-23:2")
     from fedtte.federated import default_schedule
@@ -395,8 +436,9 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert log.exists()
     entries = [json.loads(line) for line in log.read_text().splitlines()]
     assert len(entries) == len(result.rounds) <= 6
-    for entry in entries:
-        assert set(entry) >= {"round", "day", "time", "band", "slot", "selected", "aggregate_digest", "skipped"}
+    for entry, record in zip(entries, result.rounds):
+        assert entry == json.loads(json.dumps(asdict(record)))
+        assert set(entry) == {field.name for field in fields(federated.RoundRecord)}
 
     assert (out / "checkpoints" / "global_final.bin").exists()
     preds = (out / "predictions.csv").read_text().splitlines()
@@ -444,8 +486,8 @@ def test_sub_minute_schedule_writes_one_checkpoint_per_trained_round(tmp_path):
     trained = [r for r in result.rounds if not r.skipped]
     names = sorted(p.name for p in (tmp_path / "run" / "checkpoints").iterdir())
     assert len(result.rounds) == 2880 and len(trained) > 1
-    assert names == sorted([f"global_d{r.day:02d}_{r.time_label.replace(':', '')}.bin" for r in trained] + ["global_final.bin"])
-    assert any(len(r.time_label) == 8 for r in trained)  # HH:MM:SS
+    assert names == sorted([f"global_d{r.day:02d}_{r.time.replace(':', '')}.bin" for r in trained] + ["global_final.bin"])
+    assert any(len(r.time) == 8 for r in trained)  # HH:MM:SS
 
 
 def test_run_experiment_makes_one_traffic_state_pass_per_model(monkeypatch):

@@ -26,9 +26,9 @@ def zero_all(params, names):
         params.values[name] = np.zeros_like(params.values[name])
 
 
-def route_of(positions, departure=MIDNIGHT, driver="d0"):
+def route_of(positions, departure=MIDNIGHT):
     """Alternate e/v steps from a list of ('e'|'v', position) pairs."""
-    return Route(steps=tuple(positions), departure_time=departure, driver_id=driver)
+    return Route(steps=tuple(positions), departure_time=departure)
 
 
 # ---------------------------------------------------------------- embeddings (_embed_side)
@@ -331,7 +331,7 @@ def _batches(draw):
             routes.append(route_of([("e", draw(st.integers(0, net.n_edges - 1)))], departure=departure))
         else:
             steps = draw(st.sampled_from(GRID_10_ROUTES)).steps
-            routes.append(Route(steps=steps, departure_time=departure, driver_id="d0"))
+            routes.append(Route(steps=steps, departure_time=departure))
     targets = draw(st.lists(st.floats(0.0, 2000.0), min_size=len(routes), max_size=len(routes)))
     return list(zip(routes, targets))
 
@@ -543,7 +543,7 @@ def test_base_loss_gradients_are_one_flat_buffer():
 
 def _two_edge_route(world):
     route = next(t.route for t in data.sample_trajectories(world, 0) if len(t.route.steps) >= 3)
-    return Route(steps=route.steps[:3], departure_time=MIDNIGHT.replace(hour=8), driver_id="d0")
+    return Route(steps=route.steps[:3], departure_time=MIDNIGHT.replace(hour=8))
 
 
 def test_base_loss_on_the_field_finite_difference(tiny_cfg):
@@ -696,9 +696,7 @@ def test_personal_loss_finite_difference(tiny_cfg):
     batch = [(110.0, 100.0), (95.0, 100.0)]
 
     def fn(values, _):
-        probe = model.PersonalModelParams(
-            cfg=params.cfg, values=values, dense_mean=params.dense_mean, dense_std=params.dense_std
-        )
+        probe = model.PersonalModelParams(values=values, dense_mean=params.dense_mean, dense_std=params.dense_std)
         return _personal_loss_one(profile, probe, batch)
 
     err = nn.check_gradients(fn, params.values, None, eps=1e-5)

@@ -188,7 +188,7 @@ def test_steps_ok_verdict_matches_whole_tables(ids, data, lr, all_negative):
     has_pair = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     # the working set of the gradient tables is laid out as personal_loss's gradients
     as_params = [
-        model.PersonalModelParams(cfg=CFG, values={k: g[c] for k, g in whole.items()}, dense_mean=np.zeros(4), dense_std=np.ones(4))
+        model.PersonalModelParams(values={k: g[c] for k, g in whole.items()}, dense_mean=np.zeros(4), dense_std=np.ones(4))
         for c in range(n)
     ]
     buffer = model.personal_working_set(profiles, as_params).values

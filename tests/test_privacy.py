@@ -445,6 +445,6 @@ def test_attack_reads_the_uploads_training_makes(monkeypatch):
         record, _, _ = federated.run_round(server, pool, instant, train_cfg)
         if not record.skipped:
             trained.append(record)
-    assert trained[0].round_index > 0  # the world has skipped instants before training
-    assert attacked == [digest for record in trained[:3] for _, _, digest in record.clients]
+    assert trained[0].round > 0  # the world has skipped instants before training
+    assert attacked == [client["digest"] for record in trained[:3] for client in record.clients]
     assert [r.risk for r in reports] == [0.375, 0.5, 0.75]

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
+import json
 import math
 import sys
 from dataclasses import replace
@@ -161,8 +163,9 @@ def _cmd_export_state(args) -> int:
 
 def _prediction_values(path, line: int, row: dict) -> list[float]:
     """y_true_s, y_hat_s and y_final_s of one predictions.csv row read by a
-    csv.DictReader with restval ""; a missing, extra or non-finite field is
-    an error naming the file, the line and the column."""
+    csv.DictReader with restval ""; a missing, extra or non-finite field, a
+    y_true_s that is not > 0 and a prediction whose error terms overflow are
+    errors naming the file, the line and the column."""
     if None in row:
         raise ValueError(f"{path} line {line}: more fields than the header's {len(PREDICTION_FIELDS)}")
     values = []
@@ -173,30 +176,41 @@ def _prediction_values(path, line: int, row: dict) -> list[float]:
             values.append(math.nan)
         if not math.isfinite(values[-1]):
             raise ValueError(f"{path} line {line}, {column}: expected a finite number, got {row[column]!r}")
+    y = values[0]
+    if not y > 0:
+        raise ValueError(f"{path} line {line}, y_true_s: expected a travel time > 0 (the MAPE denominator), got {row['y_true_s']!r}")
+    for column, prediction in zip(PREDICTION_FIELDS[3:], values[1:]):
+        err = abs(prediction - y)
+        if not math.isfinite(err * err + err / y * 100.0):  # the row's terms of mae, rmse and mape
+            raise ValueError(f"{path} line {line}, {column}: the error of {row[column]!r} against y_true_s overflows")
     return values
 
 
 def _cmd_metrics(args) -> int:
-    with open(args.predictions, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
+    path = args.predictions
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""), restval="")
+    try:
         if reader.fieldnames != list(PREDICTION_FIELDS):
-            raise ValueError(f"{args.predictions}: expected header {','.join(PREDICTION_FIELDS)}")
-        hat_pairs, final_pairs = [], []
-        for row in reader:
-            y, y_hat, y_final = _prediction_values(args.predictions, reader.line_num, row)
-            hat_pairs.append((y, y_hat))
-            final_pairs.append((y, y_final))
-    reports = {
-        "global": harness.compute_metrics(hat_pairs, split="global"),
-        "personalized": harness.compute_metrics(final_pairs, split="personalized"),
-    }
+            raise ValueError(f"{path}: expected header {','.join(PREDICTION_FIELDS)}")
+        rows = [_prediction_values(path, reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        raise ValueError(f"{path} line {reader.reader.line_num}: {exc}") from exc  # DictReader's count lags a failed read
+    try:
+        reports = {
+            "global": harness.compute_metrics([(y, y_hat) for y, y_hat, _ in rows], split="global"),
+            "personalized": harness.compute_metrics([(y, y_final) for y, _, y_final in rows], split="personalized"),
+        }
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     for name, rep in reports.items():
         print(f"{name:13s} mae={rep.mae:.3f}s rmse={rep.rmse:.3f}s mape={rep.mape:.3f}% n={rep.count}")
     if args.json is not None:
-        import json
-
         with open(args.json, "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps({k: r.as_dict() for k, r in reports.items()}, sort_keys=True, indent=2) + "\n")
+            fh.write(json.dumps({k: r.as_dict() for k, r in reports.items()}, sort_keys=True, indent=2, allow_nan=False) + "\n")
         print(f"report in {args.json}")
     return 0
 

@@ -20,7 +20,9 @@ the round. Travel-time queries arriving before the next instant are answered
 from that state. train_round is the training half of a round (selection,
 local updates, aggregation) and run_round adds the state and the record;
 the privacy module's attack runs train_round, a sweep's shared first round
-included, so it reads the uploads that training makes.
+included, so it reads the uploads that training makes. privacy imports this
+module; FederatedConfig.dp_upload imports privacy's mechanism where it
+noises, the one import in that direction.
 
 The day is partitioned into bands with per-band aggregation intervals; the
 default schedule densifies during the rush bands (16 instants per day).
@@ -67,7 +69,6 @@ from .model import (
     slot_of_time,
     traffic_state,
 )
-from .privacy import DpConfig, noise_params
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ class FederatedConfig:
         """What a client uploads of its localized model in a round: the model
         clamped and Laplace-noised per this config (privacy.noise_params),
         with the client's own (seed, "dp", client, round) stream."""
+        from .privacy import DpConfig, noise_params  # privacy's attack imports this module
+
         dp = DpConfig(epsilon=self.dp_epsilon, clip_bound=self.dp_clip, seed=self.seed)
         return noise_params(localized, dp, rng=nn.spawn_rng(self.seed, "dp", client_id, round_index))
 
@@ -253,16 +256,9 @@ class ServerState:
 
 
 def init_server(
-    network: RoadNetwork,
-    model_cfg: ModelConfig,
-    fed_cfg: FederatedConfig,
-    schedule: AggregationSchedule | None = None,
+    network: RoadNetwork, model_cfg: ModelConfig, fed_cfg: FederatedConfig, schedule: AggregationSchedule = default_schedule()
 ) -> ServerState:
-    return ServerState(
-        network=network,
-        global_params=init_base_params(network, model_cfg, fed_cfg.seed),
-        schedule=schedule if schedule is not None else default_schedule(),
-    )
+    return ServerState(network=network, global_params=init_base_params(network, model_cfg, fed_cfg.seed), schedule=schedule)
 
 
 def build_clients(world: World, days: int = 1) -> list[ClientState]:

@@ -95,14 +95,12 @@ def compute_metrics(pairs, split: str = "all") -> MetricReport:
     y, pred = arr[:, 0], arr[:, 1]
     if np.any(y <= 0):
         raise ValueError("ground-truth travel times must be > 0 (MAPE denominator)")
-    err = pred - y
-    return MetricReport(
-        split=split,
-        mae=float(np.mean(np.abs(err))),
-        rmse=float(np.sqrt(np.mean(err * err))),
-        mape=float(np.mean(np.abs(err) / y) * 100.0),
-        count=int(arr.shape[0]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        err = pred - y
+        mae, rmse, mape = float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err))), float(np.mean(np.abs(err) / y) * 100.0)
+    if not all(math.isfinite(m) for m in (mae, rmse, mape)):
+        raise ValueError(f"the metrics overflow: mae={mae!r}, rmse={rmse!r}, mape={mape!r}")
+    return MetricReport(split=split, mae=mae, rmse=rmse, mape=mape, count=int(arr.shape[0]))
 
 
 def grouped_metrics(rows: list[tuple[str, float, float]], split: str) -> MetricReport:
@@ -203,6 +201,8 @@ def _parse_section(parser: configparser.ConfigParser, name: str, cls: type, keys
         if key not in keys:
             raise ValueError(f"[{name}] has no setting named {key!r}")
         field = keys[key]
+        if field in key_of:
+            raise ValueError(f"[{name}] {key}: sets {field} as {key_of[field]} does; keep one of the two keys")
         try:
             kwargs[field] = _coerce(raw, hints[field])
         except ValueError as exc:

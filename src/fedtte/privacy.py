@@ -24,9 +24,14 @@ top-k edges by score, ties broken by ascending edge index, form the revealed
 set. Risk is the exactly-counted fraction of the client's truly traveled
 edges that the attack recovers. risk_eval runs the federated module's
 training round step and attacks the uploads it returns, so the risk is
-measured on the uploads training makes. risk_sweep runs each seed's first
-trained round once, with the same round step, for all its epsilons
-(FirstRound).
+measured on the uploads training makes. Every simulation starts from its
+seed's first trained round (FirstRound, made by _first_round with the same
+round step): risk_eval trains its own, and risk_sweep trains one per seed
+for all its epsilons. The attack scores the edge-indexed tables
+(model.EDGE_INDEXED_TABLES), and a missing schedule is the default one.
+
+This module imports federated like any other caller; federated reaches
+this module only where it noises an upload (FederatedConfig.dp_upload).
 """
 
 from __future__ import annotations
@@ -34,16 +39,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import data as datamod
+from . import federated as fed
 from . import nn
-from .model import EDGE_INDEXED_TABLES
-
-if TYPE_CHECKING:  # federated imports this module
-    from .federated import ClientState, FederatedConfig, Instant, ServerState
+from .federated import AggregationSchedule, ClientState, FederatedConfig, Instant, ServerState, default_schedule
+from .model import EDGE_INDEXED_TABLES, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -143,33 +146,24 @@ def _laplace(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
     return x
 
 
-def difference_attack(
-    global_prev: nn.ParamSet,
-    uploaded: nn.ParamSet,
-    k: int,
-    table_names: tuple[str, ...] = EDGE_INDEXED_TABLES,
-) -> list[int]:
+def difference_attack(global_prev: nn.ParamSet, uploaded: nn.ParamSet, k: int) -> list[int]:
     """Top-k edge positions by parameter-change score, ties by ascending index.
 
     Score per edge = sqrt of the summed squared row differences across the
-    edge-indexed tables (rank-1 tables contribute a single coordinate).
+    edge-indexed tables, model.EDGE_INDEXED_TABLES (rank-1 tables contribute
+    a single coordinate).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not table_names:
-        raise ValueError("need at least one edge-indexed table to attack")
-    missing = [t for t in table_names if t not in global_prev or t not in uploaded]
+    missing = [t for t in EDGE_INDEXED_TABLES if t not in global_prev or t not in uploaded]
     if missing:
         raise KeyError(f"edge-indexed tensors missing from parameter sets: {missing}")
-    n_edges = None
-    sq = None
-    for name in table_names:
+    n_edges = len(uploaded[EDGE_INDEXED_TABLES[0]])
+    sq = np.zeros(n_edges)
+    for name in EDGE_INDEXED_TABLES:
         delta = uploaded[name] - global_prev[name]
         rows = delta.reshape(delta.shape[0], -1)
-        if n_edges is None:
-            n_edges = rows.shape[0]
-            sq = np.zeros(n_edges)
-        elif rows.shape[0] != n_edges:
+        if rows.shape[0] != n_edges:
             raise ValueError(f"table {name!r} has {rows.shape[0]} rows, expected {n_edges}")
         sq += np.sum(rows * rows, axis=1)
     scores = np.sqrt(sq)
@@ -193,51 +187,52 @@ def risk_eval(
     world,
     epsilon: float,
     *,
-    fed_config,
-    model_cfg,
+    fed_config: FederatedConfig,
+    model_cfg: ModelConfig,
     rounds: int = 3,
     k: int = 10,
     seed: int = 0,
     start_values: nn.ParamSet | None = None,
-    schedule=None,
+    schedule: AggregationSchedule = default_schedule(),
     records: list | None = None,
     first_round: FirstRound | None = None,
 ) -> list[AttackReport]:
     """Train one day at one epsilon and attack every upload of its first rounds.
 
     Runs the training round step (federated.train_round) over the day's
-    instants of `schedule` (the default schedule when None) until `rounds`
-    rounds have trained, and attacks each upload it returns against the
-    global model delivered before the round. Skipped instants advance the
-    round index exactly as in training. start_values, when given, seeds the
-    server with a previously trained checkpoint instead of a fresh
-    initialization. records, when given, are the world's day-0 trajectories
+    instants of `schedule` until `rounds` rounds have trained (none when
+    rounds < 1), and attacks each upload it returns against the global model
+    delivered before the round. Skipped instants advance the round index
+    exactly as in training. start_values, when given, seeds the server with
+    a previously trained checkpoint instead of a fresh initialization.
+    records, when given, are the world's day-0 trajectories
     (data.sample_trajectories(world, 0)), sampled once for several
     simulations; each simulation builds fresh clients from them.
 
-    first_round, when given, is this seed's simulation through its first
-    trained round, built by risk_sweep from the same arguments at one of its
-    epsilons. The simulation then starts from a copy of its server, at that
-    round, and uploads its clients' localized models noised at this epsilon
-    instead of training them again; the reports are the same as without it.
+    The simulation starts from first_round, this seed's simulation through
+    its first trained round (_first_round). Without one it trains its own at
+    this epsilon; risk_sweep passes one built from the same arguments at one
+    of its epsilons, and the round's clients' localized models are then
+    noised at this epsilon instead of trained again. The reports are the
+    same either way.
     """
-    from . import federated as fed  # runtime import: federated depends on this module
-
     cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
-    pool = fed.clients_from_records(world, records if records is not None else datamod.sample_trajectories(world, 0))
+    if rounds < 1:
+        return []
+    records = records if records is not None else datamod.sample_trajectories(world, 0)
     if first_round is None:
-        server = _start_server(world, model_cfg, cfg, schedule, start_values)
-        instants = fed.day_instants(server.schedule, day=0)
-    else:
-        server, instants = replace(first_round.server), first_round.instants
+        kwargs = dict(fed_config=fed_config, model_cfg=model_cfg, start_values=start_values, schedule=schedule, records=records)
+        first_round = _first_round(world, epsilon, seed=seed, **kwargs)
+    pool = fed.clients_from_records(world, records)
+    server = replace(first_round.server)
     reports: list[AttackReport] = []
     done = 0
-    for instant in instants:
+    for instant in first_round.instants:
         if done >= rounds:
             break
         window = (instant.start, instant.end)
         global_prev = server.global_params.values  # a round replaces it, never writes into it
-        if first_round is not None and done == 0:
+        if done == 0:
             uploads = first_round.uploads_at(cfg)
             server.advance(uploads)
         else:
@@ -253,24 +248,15 @@ def risk_eval(
     return reports
 
 
-def _start_server(world, model_cfg, cfg, schedule, start_values):
-    """A simulation's server: a fresh initialization, or start_values."""
-    from . import federated as fed
-
+def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, schedule, records) -> FirstRound:
+    """Run one seed's day at epsilon with federated.train_round up to its
+    first trained round, and keep that round with the server from before it.
+    The server starts from a fresh initialization, or from start_values."""
+    cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
     server = fed.init_server(world.network, model_cfg, cfg, schedule)
     if start_values is not None:
         nn.assert_congruent(server.global_params.values, start_values)
         server.global_params = server.global_params.with_values(nn.clone_params(start_values))
-    return server
-
-
-def _first_round(world, epsilon, *, fed_config, model_cfg, seed, start_values, schedule, records) -> FirstRound:
-    """Run one seed's day at epsilon with federated.train_round up to its
-    first trained round, and keep that round with the server from before it."""
-    from . import federated as fed
-
-    cfg = replace(fed_config, dp_epsilon=epsilon, seed=seed)
-    server = _start_server(world, model_cfg, cfg, schedule, start_values)
     pool = fed.clients_from_records(world, records)
     instants = fed.day_instants(server.schedule, day=0)
     for i, instant in enumerate(instants):
@@ -285,13 +271,13 @@ def risk_sweep(
     world,
     epsilons,
     *,
-    fed_config,
-    model_cfg,
+    fed_config: FederatedConfig,
+    model_cfg: ModelConfig,
     rounds: int = 3,
     k: int = 10,
     seeds=range(20),
     start_values: nn.ParamSet | None = None,
-    schedule=None,
+    schedule: AggregationSchedule = default_schedule(),
 ) -> tuple[dict[float, float], list[dict]]:
     """Mean attack risk per epsilon over clients and seeds, plus CSV rows:
     for each epsilon in order, one per attacked upload, then an "all" row
@@ -307,20 +293,18 @@ def risk_sweep(
     epsilons = [replace(fed_config, dp_epsilon=eps).dp_epsilon for eps in epsilons]  # each checked by FederatedConfig
     records = datamod.sample_trajectories(world, 0)
     blocks: list[list[dict]] = [[] for _ in epsilons]  # per epsilon, its rows in seed order
-    risks: list[list[float]] = [[] for _ in epsilons]
     kwargs = dict(fed_config=fed_config, model_cfg=model_cfg, start_values=start_values, schedule=schedule, records=records)
     for seed in seeds:
         first = _first_round(world, epsilons[0], seed=seed, **kwargs) if epsilons and rounds > 0 else None
-        for eps, block, eps_risks in zip(epsilons, blocks, risks):
+        for eps, block in zip(epsilons, blocks):
             for report in risk_eval(world, eps, rounds=rounds, k=k, seed=seed, first_round=first, **kwargs):
                 block.append(
                     {"epsilon": _fmt_eps(eps), "seed": str(seed), "client_id": report.client_id, "k": str(k), "risk": repr(report.risk)}
                 )
-                eps_risks.append(report.risk)
     rows: list[dict] = []
     means: dict[float, float] = {}
-    for eps, block, eps_risks in zip(epsilons, blocks, risks):
-        means[eps] = float(np.mean(eps_risks)) if eps_risks else float("nan")
+    for eps, block in zip(epsilons, blocks):
+        means[eps] = float(np.mean([float(row["risk"]) for row in block])) if block else float("nan")
         rows += block
         rows.append({"epsilon": _fmt_eps(eps), "seed": "all", "client_id": "all", "k": str(k), "risk": repr(means[eps])})
     return means, rows

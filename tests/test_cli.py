@@ -182,14 +182,84 @@ def test_a_checkpoint_that_does_not_load_exits_1_naming_its_file(tmp_path, confi
         ("d000,e0,nan,90.0,95.0", "line 3, y_true_s: expected a finite number, got 'nan'"),
         ("d000,e0,100.0,abc,95.0", "line 3, y_hat_s: expected a finite number, got 'abc'"),
         ("d000,e0,100.0,90.0,95.0,1", "line 3: more fields than the header's 5"),
+        ("d000,e0,0,250.0,250.0", "line 3, y_true_s: expected a travel time > 0 (the MAPE denominator), got '0'"),
+        ("d000,e1,1e308,-1e308,5", "line 3, y_hat_s: the error of '-1e308' against y_true_s overflows"),
+        ("d000,e1,1.0,1.0,1e200", "line 3, y_final_s: the error of '1e200' against y_true_s overflows"),
+        ("d000,e1,1e-300,1e10,1e-300", "line 3, y_hat_s: the error of '1e10' against y_true_s overflows"),
+        ("d000," + "e" * 200_000 + ",1,2,3", "line 3: field larger than field limit (131072)"),
     ],
-    ids=["short-row", "nan", "not-a-number", "long-row"],
+    ids=["short-row", "nan", "not-a-number", "long-row", "zero-truth", "error-overflows", "square-overflows", "ratio-overflows", "huge-field"],
 )
 def test_metrics_rejects_a_malformed_row_naming_file_line_and_column(tmp_path, capsys, row, message):
     dump = tmp_path / "predictions.csv"
     dump.write_text(f"client_id,route_seq,y_true_s,y_hat_s,y_final_s\nd001,e1,250.0,250.0,250.0\n{row}\n")
     assert cli.main(["metrics", str(dump)]) == 1
     assert capsys.readouterr().err == f"error: {dump} {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"client_id,route_seq,y_true_s,y_hat_s,y_final_s\n", "cannot compute metrics on an empty sample set"),
+        (
+            b"client_id,route_seq,y_true_s,y_hat_s,y_final_s\nd000,e0,1.0,1e154,1.0\nd001,e1,1.0,1e154,1.0\n",
+            "the metrics overflow: mae=1e+154, rmse=inf, mape=1e+156",
+        ),
+        (b"client_id,route_seq,y_true_s,y_hat_s,y_final_s\nd0\xff0,e0,1.0,1.0,1.0\n", "not UTF-8 text: "),
+    ],
+    ids=["header-only", "sum-overflows", "not-utf-8"],
+)
+def test_metrics_rejects_a_malformed_file_naming_it(tmp_path, capsys, content, message):
+    dump, report = tmp_path / "predictions.csv", tmp_path / "report.json"
+    dump.write_bytes(content)
+    assert cli.main(["metrics", str(dump), "--json", str(report)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dump}: {message}")
+    assert not report.exists()
+
+
+# a valid dump whose values sit near float64's limits, so that a mutated
+# digit or exponent can overflow a row's error terms or their sums
+PREDICTIONS_TEXT = (
+    "client_id,route_seq,y_true_s,y_hat_s,y_final_s\n"
+    "d000,e0|v1|e2,100.0,90.5,95.25\n"
+    "d001,e1,2.5e2,1e153,250\n"
+    'd002,"e3|v4",1e-300,0.001,1e-300\n'
+)
+DUMP_MUTATION = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, len(PREDICTIONS_TEXT)),
+    st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789.e-,"\n')),
+)
+
+
+def _no_constant(name):
+    raise AssertionError(f"the report holds {name}")
+
+
+def test_metrics_of_a_byte_mutated_dump_exits_0_or_1_naming_the_file(tmp_path, capsys):
+    dump, report = tmp_path / "predictions.csv", tmp_path / "report.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DUMP_MUTATION, min_size=1, max_size=4))
+    def run(mutations):
+        blob = bytearray(PREDICTIONS_TEXT.encode())
+        for op, position, byte in mutations:
+            position %= len(blob) + 1
+            if op == "insert":
+                blob.insert(position, byte)
+            elif position < len(blob):
+                blob[position : position + 1] = bytes([byte]) if op == "replace" else b""
+        dump.write_bytes(bytes(blob))
+        report.unlink(missing_ok=True)
+        code = cli.main(["metrics", str(dump), "--json", str(report)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), err
+        if code == 1:
+            assert err.startswith(f"error: {dump}") and not report.exists(), err
+        else:
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=_no_constant)
+
+    run()
 
 
 def test_metrics_on_perfect_dump_reports_zeros(tmp_path, capsys):

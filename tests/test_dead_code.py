@@ -1,7 +1,9 @@
 """Code that only tests call gets deleted: every public module-level function
 and every public method of a module-level class in src/fedtte is referenced
 from src/ or scripts/ outside its own body, and every dataclass field there is
-read by name or written out with the whole record by dataclasses.asdict."""
+read by name or written out with the whole record by dataclasses.asdict.
+Modules import each other at module level, so the import graph reads off
+the top of each file."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,11 @@ ALLOWED_FIELDS = {
 # Dataclasses whose every field is read by dataclasses.asdict when written out.
 SERIALIZED = {
     "RoundRecord": "every field is a round_log.jsonl key: run_experiment writes dataclasses.asdict(record)",
+}
+
+# Functions that import a fedtte module in their body.
+LOCAL_IMPORTS = {
+    "federated.FederatedConfig.dp_upload": "privacy's attack imports federated, so federated imports privacy's mechanism where it noises",
 }
 
 
@@ -125,3 +132,32 @@ def test_field_allowlist_names_existing_fields():
     fields = {qualname for path in sorted(PACKAGE.glob("*.py")) for qualname, _ in _dataclass_fields(path)}
     assert set(ALLOWED_FIELDS) <= fields
     assert set(SERIALIZED) <= {qualname.split(".")[0] for qualname in fields}
+
+
+def _imports_fedtte(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "fedtte"
+    return isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "fedtte" for alias in node.names)
+
+
+def _function_level_fedtte_imports(path):
+    """Qualified names of the functions and methods of the module whose
+    bodies import a fedtte module, once per such import."""
+    found = []
+
+    def visit(node, scope, in_function):
+        if in_function and _imports_fedtte(node):
+            found.append(".".join([path.stem, *scope]))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name], in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [], False)
+    return found
+
+
+def test_fedtte_modules_are_imported_at_module_level():
+    found = sorted(qualname for path in sorted(PACKAGE.glob("*.py")) for qualname in _function_level_fedtte_imports(path))
+    assert found == sorted(LOCAL_IMPORTS), f"fedtte imports inside functions (move them to the module's imports, or allow them with a reason): {found}"

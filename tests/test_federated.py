@@ -287,7 +287,7 @@ def test_aggregate_duplicate_splitting_invariant(seed, k):
 
 # ---------------------------------------------------------------- run_round
 
-def _server_and_pool(world, fed_cfg, model_cfg, schedule=None):
+def _server_and_pool(world, fed_cfg, model_cfg, schedule=default_schedule()):
     server = init_server(world.network, model_cfg, fed_cfg, schedule=schedule)
     return server, build_clients(world)
 

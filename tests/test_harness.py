@@ -239,7 +239,7 @@ CONFIG_SETTINGS = (
     [("world", key) for key in _settings_of(data.WorldSpec)]
     + [("model", key) for key in _settings_of(model.ModelConfig)]
     + [("federated", key) for key in _settings_of(FederatedConfig)]
-    + [("experiment", key) for key in ("days", "eval_days", "max_rounds", "out")]
+    + [("experiment", key) for key in ("days", "eval_days", "max_rounds", "out", "out_dir")]
     + [("schedule", "bands"), ("attack", "epsilons"), ("attack", "k"), ("attack", "rounds"), ("attack", "seeds")]
     + [("world", "no_such_key"), ("schedule", "no_such_key")]
 )
@@ -273,6 +273,19 @@ def test_load_config_returns_a_config_or_names_section_and_key(tmp_path_factory,
             outcomes.append(cfg)
     # whether a config loads does not depend on the order of its keys
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("first, second", [("out", "out_dir"), ("out_dir", "out")])
+def test_load_config_rejects_out_and_out_dir_together_naming_both(tmp_path, capsys, first, second):
+    # both keys set ExperimentConfig.out_dir; neither order may win silently
+    path = tmp_path / "exp.ini"
+    path.write_text(f"[experiment]\n{first} = {tmp_path / 'a'}\n{second} = {tmp_path / 'b'}\n")
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"[experiment] {second}: ") and f" {first} " in str(info.value)
+    assert cli.main(["train", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize(
